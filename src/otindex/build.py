@@ -57,9 +57,9 @@ from .oshr import (
 )
 from .suffix_tree import SuffixTree
 
-# flat per-host entry layout: ENTRY_WIDTH consecutive values per entry
-ENTRY_WIDTH = 6
-F_LEFT, F_RIGHT, F_KEY, F_OCC, F_ORIGIN, F_AUX = range(ENTRY_WIDTH)
+# flat per-host entry layout: the key node's OSHR interval, one occurrence
+ENTRY_WIDTH = 3
+F_LEFT, F_RIGHT, F_OCC = range(ENTRY_WIDTH)
 
 ORIGIN_BASE = 0
 ORIGIN_SKIPPED = 1
@@ -362,14 +362,12 @@ def last_extent_path(st: SuffixTree, top: int, bottom: int) -> list[int]:
 
 
 class OtEntry(NamedTuple):
-    """Decoded view of one host entry (tests, CLI, and audits)."""
+    """Decoded host entry (tests, CLI, audits); key_node is looked up from left_ot."""
 
     left_ot: int
     right_ot: int
-    key_node: int
     occ: int
-    origin: int
-    aux: int
+    key_node: int
 
 
 class OtIndex:
@@ -389,7 +387,11 @@ class OtIndex:
         arr = self.entries.get(host)
         if not arr:
             return []
-        return [OtEntry(*arr[i : i + ENTRY_WIDTH]) for i in range(0, len(arr), ENTRY_WIDTH)]
+        pre = self.oshr.preorder
+        return [
+            OtEntry(arr[i], arr[i + 1], arr[i + 2], pre[arr[i]])
+            for i in range(0, len(arr), ENTRY_WIDTH)
+        ]
 
     def iter_host_entries(self) -> Iterator[tuple[int, OtEntry]]:
         for host in self.entries:
@@ -490,11 +492,13 @@ def build_index(
     left_ot = oshr.left_ot
     right_ot = oshr.right_ot
 
+    # pending rows per host: an entry plus its origin code, kept only to
+    # correct the counts when de-duplication drops the row
     raw: dict[int, list[int]] = {}
     indexed_paths: set[int] = set()
     counts = {ORIGIN_BASE: 0, ORIGIN_SKIPPED: 0, ORIGIN_SKIPPED_XREF: 0}
 
-    def add_entries(v: int, omega: int, x: int, y: int, occ: int, origin: int, aux: int):
+    def add_entries(v: int, omega: int, x: int, y: int, occ: int, origin: int):
         # hosts: ancestors of omega that can be the locus of an admitted
         # pattern length in (x, y] ∩ [lo_cfg, hi_cfg]
         if depth[omega] != y:
@@ -512,7 +516,7 @@ def build_index(
                 bucket = raw.get(w)
                 if bucket is None:
                     bucket = raw[w] = []
-                bucket.extend((lv, rv, v, occ, origin, aux))
+                bucket.extend((lv, rv, occ, origin))
                 added += 1
             w = parent[w]
         counts[origin] += added
@@ -546,7 +550,7 @@ def build_index(
                 while jumped < k:
                     cur = slink[cur]
                     jumped += 1
-                add_entries(v, cur, dph - k, dh - k, se + 1 + k, origin, h)
+                add_entries(v, cur, dph - k, dh - k, se + 1 + k, origin)
 
     # --- base paths, grouped per bottom node -------------------------------
     der = _derivable_masks(st, oshr, anc)
@@ -582,30 +586,22 @@ def build_index(
             while jumped < d:
                 cur = slink[cur]
                 jumped += 1
-            add_entries(v, cur, dpb - d, db - d, sb + d, ORIGIN_BASE, b)
+            add_entries(v, cur, dpb - d, db - d, sb + d, ORIGIN_BASE)
 
     # --- finalize: per-host stable sort, dedup by key, pack ----------------
+    # a preorder number names exactly one key node, so rows with equal left
+    # ends are duplicates; the stable sort keeps the first one added
     entries: dict[int, array] = {}
-    for host, flat in raw.items():
-        m = len(flat) // ENTRY_WIDTH
-        if m == 1:
-            entries[host] = array("q", flat)
-            continue
-        rows = [tuple(flat[i : i + ENTRY_WIDTH]) for i in range(0, len(flat), ENTRY_WIDTH)]
-        rows.sort(key=lambda t: (t[F_LEFT], t[F_RIGHT]))
+    for host in list(raw):
+        flat = raw.pop(host)
         packed = array("q")
         prev_left = -1
-        seen_keys: set[int] = set()
-        for row in rows:
-            key = row[F_KEY]
-            if key in seen_keys:
-                counts[row[F_ORIGIN]] -= 1
+        for k in sorted(range(0, len(flat), ENTRY_WIDTH + 1), key=flat.__getitem__):
+            if flat[k] == prev_left:
+                counts[flat[k + ENTRY_WIDTH]] -= 1
                 continue
-            seen_keys.add(key)
-            if row[F_LEFT] <= prev_left:
-                raise AssertionError("host list must be strictly sorted by left endpoint")
-            prev_left = row[F_LEFT]
-            packed.extend(row)
+            prev_left = flat[k]
+            packed.extend(flat[k : k + ENTRY_WIDTH])
         entries[host] = packed
 
     merged: dict[int, set[int]] = {

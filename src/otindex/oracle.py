@@ -464,6 +464,8 @@ def audit_text(
             if p and not admits(len(p)):
                 continue
             occ_p = occ_sets[p]
+            # occurrences of p shifted back by a start depth, one set per depth
+            shifted: dict[int, set[int]] = {}
             try:
                 results = search_many(idx, p, nodes)
             except AssertionError:
@@ -487,7 +489,10 @@ def audit_text(
                 if res.host_entries and res.probes > _probe_cap(res.host_entries):
                     rep.probe_violations += 1
                 d = depths[i]
-                t = any(q - d in occ_label[i] for q in occ_p)
+                starts = shifted.get(d)
+                if starts is None:
+                    starts = shifted[d] = {q - d for q in occ_p}
+                t = not occ_label[i].isdisjoint(starts)
                 if res.found:
                     rep.found += 1
                     w = res.witness

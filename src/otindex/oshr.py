@@ -31,7 +31,7 @@ from .suffix_tree import SuffixTree
 class OshrTree:
     """Reversed-suffix-link tree over the internal nodes of a suffix tree."""
 
-    __slots__ = ("st", "children", "left_ot", "right_ot", "postorder", "n_members", "n_oshr_leaves")
+    __slots__ = ("st", "children", "left_ot", "right_ot", "preorder", "n_members", "n_oshr_leaves")
 
     def __init__(self, st: SuffixTree):
         self.st = st
@@ -51,7 +51,6 @@ class OshrTree:
         right_ot = array("q", [-1]) * st.n_nodes
         counter = 0
         oshr_leaves = 0
-        post: list[int] = []
         # preorder numbering with an explicit stack; a second pass closes the
         # right ends of the intervals
         stack = [st.root]
@@ -74,10 +73,9 @@ class OshrTree:
                 if right_ot[c] > hi:
                     hi = right_ot[c]
             right_ot[v] = hi
-            post.append(v)
         self.left_ot = left_ot
         self.right_ot = right_ot
-        self.postorder = post  # children (ascending id) before parents
+        self.preorder = pre  # preorder[left_ot[v]] == v
         self.n_oshr_leaves = oshr_leaves
 
     def parent(self, v: int) -> int:
@@ -91,10 +89,6 @@ class OshrTree:
     def in_oshr_subtree(self, anc: int, v: int) -> bool:
         """Suffix-link reachability: does sl-iteration from ``v`` reach ``anc``?"""
         return self.left_ot[anc] <= self.left_ot[v] <= self.right_ot[anc]
-
-
-def build_oshr(st: SuffixTree) -> OshrTree:
-    return OshrTree(st)
 
 
 @dataclass(frozen=True)

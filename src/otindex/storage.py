@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic       4 bytes  "OTIX"
-    version     u8       currently 1
+    version     u8       currently 2
     text hash   32 bytes sha256 of the sentinel-terminated text
     n           u64      content length
     length lo   u32
@@ -12,7 +12,9 @@ Layout (all integers little-endian):
     exclusion   u8
     leaf cover  u8
     host count  u64
-    per host:   u64 node id, u64 entry count, entries as count x 6 i64
+    per host:   u64 node id, u64 entry count, entries as count x 3 i64
+                (left_ot, right_ot, occ): the key node's OSHR interval and
+                one occurrence, sorted by left_ot
     base count  u64
     per node:   u64 node id, u64 suffix count, suffixes as count x i64
     origins     3 x u64  entry totals per origin code
@@ -42,7 +44,7 @@ from .oshr import OshrTree
 from .suffix_tree import SuffixTree
 
 MAGIC = b"OTIX"
-VERSION = 1
+VERSION = 2
 
 _CLASS_CODES = {CLASSIFY_LINKED: 0, CLASSIFY_UNLINKED: 1}
 _CLASS_NAMES = {v: k for k, v in _CLASS_CODES.items()}

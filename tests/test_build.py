@@ -51,12 +51,10 @@ def internal_nodes(st):
 
 
 def entry_digest(st, idx):
-    """host label -> list of (key label, occ, origin), preserving list order."""
+    """host label -> list of (key label, occ), preserving list order."""
     out = {}
     for host in idx.entries:
-        out[st.label(host)] = [
-            (st.label(e.key_node), e.occ, e.origin) for e in idx.entries_at(host)
-        ]
+        out[st.label(host)] = [(st.label(e.key_node), e.occ) for e in idx.entries_at(host)]
     return out
 
 
@@ -280,10 +278,11 @@ class TestBuildBanana:
     def test_host_lists_exactly(self):
         digest = entry_digest(self.st, self.idx)
         assert digest == {
-            b"A": [(b"", 1, ORIGIN_SKIPPED)],
-            b"NA": [(b"A", 4, ORIGIN_BASE)],
-            b"ANA": [(b"", 3, ORIGIN_BASE)],
+            b"A": [(b"", 1)],
+            b"NA": [(b"A", 4)],
+            b"ANA": [(b"", 3)],
         }
+        assert self.idx.origin_counts == {ORIGIN_BASE: 2, ORIGIN_SKIPPED: 1, ORIGIN_SKIPPED_XREF: 0}
 
     def test_intervals_stored_from_key_nodes(self):
         for host, entry in self.idx.iter_host_entries():
@@ -317,10 +316,11 @@ class TestBuildBanana:
         st = self.st
         idx = build_index(st, self.oshr, BuildConfig(classification_mode=CLASSIFY_UNLINKED))
         assert entry_digest(st, idx) == {
-            b"A": [(b"", 5, ORIGIN_BASE)],
-            b"NA": [(b"NA", 4, ORIGIN_SKIPPED)],
-            b"ANA": [(b"", 1, ORIGIN_SKIPPED)],
+            b"A": [(b"", 5)],
+            b"NA": [(b"NA", 4)],
+            b"ANA": [(b"", 1)],
         }
+        assert idx.origin_counts == {ORIGIN_BASE: 1, ORIGIN_SKIPPED: 2, ORIGIN_SKIPPED_XREF: 0}
 
 
 def test_build_single_run_text():
@@ -332,10 +332,11 @@ def test_build_single_run_text():
     st = tree(b"AAAA")
     idx = build_index(st)
     assert entry_digest(st, idx) == {
-        b"A": [(b"AA", 3, ORIGIN_BASE)],
-        b"AA": [(b"A", 2, ORIGIN_BASE)],
-        b"AAA": [(b"", 1, ORIGIN_BASE)],
+        b"A": [(b"AA", 3)],
+        b"AA": [(b"A", 2)],
+        b"AAA": [(b"", 1)],
     }
+    assert idx.origin_counts == {ORIGIN_BASE: 3, ORIGIN_SKIPPED: 0, ORIGIN_SKIPPED_XREF: 0}
     assert {st.label(k): list(v) for k, v in idx.base_suffixes.items()} == {
         b"A": [3],
         b"AA": [2],
@@ -407,10 +408,7 @@ def test_entries_sound_and_sorted(seed, n, sigma, cfg):
         pairs = [(e.left_ot, e.right_ot) for e in rows]
         assert pairs == sorted(pairs)
     # origin counts agree with the stored entries
-    from collections import Counter
-
-    tally = Counter(e.origin for _, e in idx.iter_host_entries())
-    assert idx.origin_counts == {k: tally.get(k, 0) for k in idx.origin_counts}
+    assert sum(idx.origin_counts.values()) == idx.total_entries
 
 
 @pytest.mark.parametrize("seed,n,sigma", SEEDS[:3])
@@ -455,15 +453,10 @@ def test_narrow_modes_select_subsets_of_all_mode(seed, n, sigma):
     st = build(random_text(seed, n, sigma))
     oshr = OshrTree(st)
     full = build_index(st, oshr)
-    everything = {
-        (host, e.key_node, e.occ, e.origin) for host, e in full.iter_host_entries()
-    }
+    everything = {(host, e.key_node, e.occ) for host, e in full.iter_host_entries()}
     for mode in (LengthMode.exact(3), LengthMode.at_most(4), LengthMode.between(2, 5)):
         narrowed = build_index(st, oshr, BuildConfig(length_mode=mode))
-        sub = {
-            (host, e.key_node, e.occ, e.origin)
-            for host, e in narrowed.iter_host_entries()
-        }
+        sub = {(host, e.key_node, e.occ) for host, e in narrowed.iter_host_entries()}
         assert sub <= everything
         # base suffixes are unaffected by the length mode
         assert narrowed.base_suffixes == full.base_suffixes

@@ -143,7 +143,7 @@ class TestIndexStats:
         rc, out, _ = run(capsys, ["index-stats", banana_index])
         assert rc == 0
         rows = parse_kv(out)
-        assert rows["version"] == "1"
+        assert rows["version"] == "2"
         assert rows["text_length"] == "6"
         assert rows["hosts"] == "3"
         assert len(rows["text_sha256"]) == 64

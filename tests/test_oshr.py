@@ -8,7 +8,6 @@ from otindex.oracle import random_text
 from otindex.oshr import (
     OshrTree,
     base_suffixes_from_reference_leaves,
-    build_oshr,
     reference_internal_nodes,
     reference_leaf_contexts,
     skipped_nodes,
@@ -42,7 +41,7 @@ def internal_nodes(st: SuffixTree) -> list[int]:
 class TestBananaOshr:
     def setup_method(self):
         self.st = tree(b"BANANA")
-        self.oshr = build_oshr(self.st)
+        self.oshr = OshrTree(self.st)
         self.ids = {lbl: node_by_label(self.st, lbl) for lbl in (b"", b"A", b"NA", b"ANA")}
 
     def test_chain_shape(self):
@@ -100,7 +99,7 @@ class TestBananaOshr:
 class TestMississippiOshr:
     def setup_method(self):
         self.st = tree(b"MISSISSIPPI")
-        self.oshr = build_oshr(self.st)
+        self.oshr = OshrTree(self.st)
 
     def ids(self, *labels: bytes) -> dict[bytes, int]:
         return {lbl: node_by_label(self.st, lbl) for lbl in labels}
@@ -147,7 +146,7 @@ class TestMississippiOshr:
 
 def test_single_letter_run():
     st = tree(b"AAAA")
-    oshr = build_oshr(st)
+    oshr = OshrTree(st)
     # chain of suffix links: AAA -> AA -> A -> root, no branching anywhere
     assert oshr.n_oshr_leaves == 1
     deepest = node_by_label(st, b"AAA")
@@ -161,7 +160,7 @@ def test_single_letter_run():
 
 def test_two_distinct_letters():
     st = tree(b"AB")
-    oshr = build_oshr(st)
+    oshr = OshrTree(st)
     # the only internal node is the root, which counts as OSHR-internal
     # only when something links to it; here nothing does
     assert oshr.n_members == 1
@@ -179,7 +178,7 @@ SEEDS = [(11, 64, 2), (12, 96, 3), (13, 128, 4), (14, 200, 2), (15, 256, 5), (16
 @pytest.mark.parametrize("seed,n,sigma", SEEDS)
 def test_containment_matches_suffix_link_reachability(seed, n, sigma):
     st = build(random_text(seed, n, sigma))
-    oshr = build_oshr(st)
+    oshr = OshrTree(st)
     nodes = internal_nodes(st)
     for anc in nodes:
         for v in nodes:
@@ -190,7 +189,7 @@ def test_containment_matches_suffix_link_reachability(seed, n, sigma):
 @pytest.mark.parametrize("seed,n,sigma", SEEDS)
 def test_interval_invariants(seed, n, sigma):
     st = build(random_text(seed, n, sigma))
-    oshr = build_oshr(st)
+    oshr = OshrTree(st)
     nodes = internal_nodes(st)
     lefts = sorted(oshr.left_ot[v] for v in nodes)
     assert lefts == list(range(len(nodes)))
@@ -204,13 +203,10 @@ def test_interval_invariants(seed, n, sigma):
                 assert oshr.left_ot[b] == oshr.right_ot[a] + 1
         else:
             assert oshr.left_ot[v] == oshr.right_ot[v]
-    # postorder really is children-before-parents
-    seen = set()
-    for v in oshr.postorder:
-        for c in oshr.children.get(v, ()):
-            assert c in seen
-        seen.add(v)
-    assert len(seen) == oshr.n_members
+    # preorder inverts the left ends
+    assert len(oshr.preorder) == oshr.n_members
+    for v in nodes:
+        assert oshr.preorder[oshr.left_ot[v]] == v
 
 
 @pytest.mark.parametrize("seed,n,sigma", SEEDS)
@@ -290,7 +286,7 @@ def test_base_suffix_soundness(seed, n, sigma):
 @pytest.mark.parametrize("seed,n,sigma", SEEDS)
 def test_every_oshr_member_is_internal(seed, n, sigma):
     st = build(random_text(seed, n, sigma))
-    oshr = build_oshr(st)
+    oshr = OshrTree(st)
     assert oshr.n_members == st.n_internal
     for v, kids in oshr.children.items():
         assert st.is_internal(v)

@@ -63,6 +63,20 @@ class TestRoundTrip:
         blob = serialize(idx)
         assert serialize(deserialize(blob, idx.st)) == blob
 
+    @pytest.mark.parametrize("content", [b"BANANA", b"MISSISSIPPI", b"ABRACADABRA"])
+    def test_stream_size_matches_layout(self, content):
+        # header, host count, 16-byte host heads and 24 bytes (3 x i64) per
+        # entry, base count, 16-byte node heads and 8 bytes per suffix, and
+        # three origin totals
+        idx = make_index(content)
+        want = (
+            len(MAGIC) + 1 + 32 + 8 + 4 + 4 + 3
+            + 8 + sum(16 + 24 * len(idx.entries_at(h)) for h in idx.entries)
+            + 8 + sum(16 + 8 * len(a) for a in idx.base_suffixes.values())
+            + 3 * 8
+        )
+        assert len(serialize(idx)) == want
+
     def test_file_round_trip(self, tmp_path):
         idx = make_index(b"ABRACADABRA")
         path = str(tmp_path / "abra.otix")
@@ -80,8 +94,9 @@ class TestCorruption:
         with pytest.raises(BadMagicError):
             deserialize(bad, self.idx.st)
 
-    def test_version_mismatch(self):
-        bad = self.blob[:4] + bytes([VERSION + 1]) + self.blob[5:]
+    @pytest.mark.parametrize("version", [1, VERSION + 1])
+    def test_version_mismatch(self, version):
+        bad = self.blob[:4] + bytes([version]) + self.blob[5:]
         with pytest.raises(VersionMismatchError):
             deserialize(bad, self.idx.st)
 
