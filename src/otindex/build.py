@@ -36,10 +36,18 @@ cover* closes that hole: for every non-derivable (internal v, leaf f) pair
 -- at most one per text position plus the suffix-0 boundary, by a
 telescoping count over suffix-link images -- the image occurrence
 q = suffix(f) + depth(v) is stored as an extra base suffix at every
-internal node on leaf(q)'s path deeper than x.  Queries scan them through
-the same base-suffix fallback, so lookup cost and entry counts are
+internal node on leaf(q)'s path deeper than x.  Queries reach them through
+the same base-suffix search, so lookup cost and entry counts are
 untouched; the store is config-gated to keep the sparse variant available
 for comparison.
+
+Base suffixes are keyed like entries.  Start node i passes the test
+leaf(s - depth(i)) in subtree(i) exactly when label(i) is a suffix of
+T[0:s); every suffix of an internal node's label is an internal node, so
+the nodes passing it are the suffix-link chain from top(s), the deepest
+internal node whose label ends at s, up to the root.  Each base suffix is
+therefore stored with top(s)'s OSHR preorder number as its key, and the
+test becomes OSHR containment: one binary search per query.
 """
 
 from __future__ import annotations
@@ -230,26 +238,44 @@ def ancestor_depth_masks(st: SuffixTree) -> list[int]:
 
 
 def leaf_edge_cover_suffixes(
-    st: SuffixTree, anc_masks: list[int] | None = None
-) -> dict[int, set[int]]:
-    """Extra base suffixes serving patterns whose extended locus is a leaf.
+    st: SuffixTree,
+    oshr: OshrTree,
+    anc_masks: list[int] | None = None,
+    *,
+    cover: bool = True,
+) -> tuple[array, dict[int, array]]:
+    """Base-suffix keys, plus the extra base suffixes serving patterns whose
+    extended locus is a leaf, from one walk over every leaf's ancestors.
 
-    For each pair (internal v != root, leaf f under v) that is not
-    suffix-link-derivable -- suffix(f) = 0, or leaf(suffix(f) - 1) has no
-    internal node at string depth depth(v)+1 on its path -- the image
+    Both come from the pairs (internal v != root, leaf f under v) that are
+    not suffix-link-derivable: suffix(f) = 0, or leaf(suffix(f) - 1) has no
+    internal node at string depth depth(v)+1 on its path.
+
+    Keys: top_key[q] is left_ot of top(q), the deepest internal node whose
+    label ends at text position q (the root when no other does).  The nodes
+    ending at q are the suffix-link chain top(q), sl(top(q)), ..., paired
+    with the leaves of suffixes s, s+1, ...; each pair but the first derives
+    from its predecessor, and the first does not (a deeper node ending at q
+    would derive it), so q = suffix(f) + depth(v) of the one non-derivable
+    pair names top(q) = v.
+
+    Cover (when ``cover``): for each non-derivable pair the image
     occurrence q = suffix(f) + depth(v) is recorded at every internal node
     on leaf(q)'s path deeper than depth(parent(f)) - depth(v).  A query with
     locus e and start node i then finds leaf(q - depth(i)) in subtree(i)
     whenever label(i)+p occurs only on a leaf edge; derivation chains keep
     the window lower bound shrinking, so the terminal pair always reaches e.
+    Records are returned per node, unsorted and possibly repeated.
     """
     if anc_masks is None:
         anc_masks = ancestor_depth_masks(st)
     root = st.root
     parent = st.parent
     depth = st.depth
+    left_ot = oshr.left_ot
     leaf_for_suffix = st.leaf_for_suffix
-    out: dict[int, set[int]] = {}
+    top_key = array("q", bytes(8 * (st.n + 1)))  # left_ot[root] == 0
+    out: dict[int, array] = {}
     for s in range(st.n + 1):
         f = leaf_for_suffix[s]
         blocked = anc_masks[leaf_for_suffix[s - 1]] if s else 0
@@ -259,16 +285,18 @@ def leaf_edge_cover_suffixes(
             d = depth[v]
             if not s or not (blocked >> (d + 1)) & 1:
                 q = s + d
-                x = dpf - d
-                w = parent[leaf_for_suffix[q]]
-                while depth[w] > x:
-                    bucket = out.get(w)
-                    if bucket is None:
-                        bucket = out[w] = set()
-                    bucket.add(q)
-                    w = parent[w]
+                top_key[q] = left_ot[v]
+                if cover:
+                    x = dpf - d
+                    w = parent[leaf_for_suffix[q]]
+                    while depth[w] > x:
+                        bucket = out.get(w)
+                        if bucket is None:
+                            bucket = out[w] = array("q")
+                        bucket.append(q)
+                        w = parent[w]
             v = parent[v]
-    return out
+    return top_key, out
 
 
 def _derivable_masks(st: SuffixTree, oshr: OshrTree, anc_masks: list[int]) -> list[int]:
@@ -371,7 +399,12 @@ class OtEntry(NamedTuple):
 
 
 class OtIndex:
-    """Per-host sorted entry lists plus per-node base suffixes."""
+    """Per-host sorted entry lists plus per-node base suffixes.
+
+    A base suffix s is stored as top_key[s] * (n + 1) + s, where top_key[s]
+    is the OSHR preorder number of the deepest internal node whose label
+    ends at text position s; each node's list is ascending by that value.
+    """
 
     __slots__ = ("st", "oshr", "config", "entries", "base_suffixes", "origin_counts")
 
@@ -392,6 +425,11 @@ class OtIndex:
             OtEntry(arr[i], arr[i + 1], arr[i + 2], pre[arr[i]])
             for i in range(0, len(arr), ENTRY_WIDTH)
         ]
+
+    def base_suffixes_at(self, node: int) -> list[int]:
+        """The base suffixes stored at node, ascending."""
+        n1 = self.st.n + 1
+        return sorted(v % n1 for v in self.base_suffixes.get(node, ()))
 
     def iter_host_entries(self) -> Iterator[tuple[int, OtEntry]]:
         for host in self.entries:
@@ -444,8 +482,8 @@ def index_stats(idx: OtIndex) -> IndexStats:
     ref_sets = {node: {r.suffix for r in recs} for node, recs in ref.items()}
     cover = sum(
         1
-        for node, arr in idx.base_suffixes.items()
-        for s in arr
+        for node in idx.base_suffixes
+        for s in idx.base_suffixes_at(node)
         if s not in ref_sets.get(node, ())
     )
     return IndexStats(
@@ -604,17 +642,21 @@ def build_index(
             packed.extend(flat[k : k + ENTRY_WIDTH])
         entries[host] = packed
 
-    merged: dict[int, set[int]] = {
-        node: {r.suffix for r in recs}
-        for node, recs in base_suffixes_from_reference_leaves(st, contexts).items()
-    }
-    if config.leaf_edge_cover:
-        for node, qs in leaf_edge_cover_suffixes(st, anc).items():
-            if node in merged:
-                merged[node] |= qs
-            else:
-                merged[node] = qs
-    base_suffixes = {node: array("q", sorted(qs)) for node, qs in merged.items()}
+    # --- base suffixes: reference-leaf records plus the leaf-edge cover,
+    # each packed as top_key[s] * (n + 1) + s and sorted by that value
+    top_key, store = leaf_edge_cover_suffixes(st, oshr, anc, cover=config.leaf_edge_cover)
+    for ctx in contexts:
+        s = ctx.x + 1
+        for w in skipped_nodes(st, ctx):
+            bucket = store.get(w)
+            if bucket is None:
+                bucket = store[w] = array("q")
+            bucket.append(s)
+    n1 = st.n + 1
+    base_suffixes: dict[int, array] = {}
+    for node in list(store):
+        qs = store.pop(node)
+        base_suffixes[node] = array("q", sorted({top_key[q] * n1 + q for q in qs}))
 
     return OtIndex(
         st=st,

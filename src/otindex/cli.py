@@ -380,7 +380,16 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("index", metavar="index.otix")
     p.set_defaults(func=cmd_index_stats)
 
-    p = sub.add_parser("query", help="one pattern-under-node query")
+    p = sub.add_parser(
+        "query",
+        help="one pattern-under-node query",
+        description="Answer one query from a stored index.  The TSV row gives "
+        "the route that answered it (not-in-text, root-trivial, leaf, "
+        "binary-search for the host entry list, base-search for the keyed "
+        "base-suffix list), the witness, the host-list probes and length, and "
+        "rescue=1 when base-search found an occurrence after a nonempty host "
+        "list missed.",
+    )
     p.add_argument("index", metavar="index.otix")
     p.add_argument("text")
     p.add_argument("--pattern", required=True)

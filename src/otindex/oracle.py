@@ -258,7 +258,7 @@ class AuditReport:
     soundness_failures: int = 0  # witness rejected by position bookkeeping
     structure_failures: int = 0  # entry or base-suffix store invariant broken
     probe_violations: int = 0  # probes above ceil(log2 m) + 1
-    rescues: int = 0  # base-suffix fallback fired despite a nonempty host list
+    rescues: int = 0  # base-suffix search hit after a nonempty host list missed
     total_entries: int = 0
     base_suffix_records: int = 0
     entry_bound_violations: int = 0  # texts where entries exceed 2 * sigma * n
@@ -345,14 +345,34 @@ def _structure_violations(st: SuffixTree, idx) -> int:
                 or not st.in_subtree(e.key_node, st.leaf_for_suffix[w])
             ):
                 bad += 1
+    # base suffixes: packed key * (n + 1) + s, strictly ascending, each s
+    # once, keyed by the deepest internal node whose label ends at s
+    n1 = st.n + 1
+    pre = idx.oshr.preorder
+    oshr_kids = idx.oshr.children
     for node, arr in idx.base_suffixes.items():
         lbl = st.label(node)
         d = st.depth[node]
-        if list(arr) != sorted(set(arr)):
+        suffixes = idx.base_suffixes_at(node)
+        if list(arr) != sorted(set(arr)) or len(set(suffixes)) != len(suffixes):
             bad += 1
-        for s in arr:
+        for s in suffixes:
             if data[s : s + d] != lbl or not st.in_subtree(node, st.leaf_for_suffix[s]):
                 bad += 1
+        for packed in arr:
+            key, s = divmod(packed, n1)
+            if not 0 <= key < len(pre):
+                bad += 1
+                continue
+            top = pre[key]
+            dt = st.depth[top]
+            if s < dt or data[s - dt : s] != st.label(top):
+                bad += 1
+            elif s > dt and any(
+                st.in_subtree(c, st.leaf_for_suffix[s - dt - 1])
+                for c in oshr_kids.get(top, ())
+            ):
+                bad += 1  # a deeper node's label also ends at s
     return bad
 
 

@@ -9,12 +9,13 @@ subtree(i) and Text[j + depth(i) .. j + depth(i) + |p|) = p.  The pipeline:
 3. locus on a leaf edge: p occurs exactly once, check that single position;
 4. otherwise binary-search the locus node's entry list for a key inside
    i's OSHR interval (interval containment == suffix-link reachability);
-5. finally scan the locus node's base suffixes.
+5. finally binary-search the locus node's base suffixes, keyed the same
+   way by the deepest internal node whose label ends at each suffix.
 
 Step 5 runs even when step 4 had a nonempty list and missed: the entry list
-is not known to subsume the base suffixes, and the extra scan is sound.  A
-hit there after a nonempty-list miss is flagged on the result and logged so
-the subsumption question accumulates evidence.
+is not known to subsume the base suffixes, and the extra search is sound.
+A hit there after a nonempty-list miss is flagged on the result and logged
+so the subsumption question accumulates evidence.
 
 Every positive answer is re-verified against the text before it is
 returned; an unsound hit raises instead of returning.
@@ -23,6 +24,7 @@ returned; an unsound hit raises instead of returning.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .build import ENTRY_WIDTH, F_LEFT, F_OCC, F_RIGHT, OtIndex
@@ -34,7 +36,7 @@ ROUTE_NOT_IN_TEXT = "not-in-text"
 ROUTE_TRIVIAL = "root-trivial"
 ROUTE_LEAF = "leaf"
 ROUTE_BINARY = "binary-search"
-ROUTE_BASE_SUFFIX = "base-suffix"
+ROUTE_BASE_SEARCH = "base-search"
 ROUTE_WALK = "walk"
 
 
@@ -125,11 +127,11 @@ def search_at(idx: OtIndex, outcome: WalkOutcome, pattern: bytes, i: int) -> Que
 
     probes = 0
     hosted = 0
+    li = idx.oshr.left_ot[i]
+    ri = idx.oshr.right_ot[i]
     arr = idx.entries.get(locus)
     if arr:
         hosted = len(arr) // ENTRY_WIDTH
-        li = idx.oshr.left_ot[i]
-        ri = idx.oshr.right_ot[i]
         lo, hi = 0, hosted
         while lo < hi:
             probes += 1
@@ -145,23 +147,26 @@ def search_at(idx: OtIndex, outcome: WalkOutcome, pattern: bytes, i: int) -> Que
             _verify(st, pattern, i, witness)
             return QueryResult(True, witness, ROUTE_BINARY, probes, hosted)
 
+    # base suffixes are packed as key * (n + 1) + s: the first one keyed
+    # inside i's OSHR interval is a hit
     suffixes = idx.base_suffixes.get(locus)
     if suffixes:
-        for s in suffixes:
-            witness = s - di
-            if witness >= 0 and st.in_subtree(i, st.leaf_for_suffix[witness]):
-                _verify(st, pattern, i, witness)
-                rescued = hosted > 0
-                if rescued:
-                    logger.debug(
-                        "base-suffix fallback rescued pattern %r under node %d "
-                        "after a %d-entry list missed",
-                        pattern,
-                        i,
-                        hosted,
-                    )
-                return QueryResult(True, witness, ROUTE_BASE_SUFFIX, probes, hosted, rescued)
-    return QueryResult(False, None, ROUTE_BASE_SUFFIX, probes, hosted)
+        n1 = st.n + 1
+        k = bisect_left(suffixes, li * n1)
+        if k < len(suffixes) and suffixes[k] < (ri + 1) * n1:
+            witness = suffixes[k] % n1 - di
+            _verify(st, pattern, i, witness)
+            rescued = hosted > 0
+            if rescued:
+                logger.debug(
+                    "base-suffix search rescued pattern %r under node %d "
+                    "after a %d-entry list missed",
+                    pattern,
+                    i,
+                    hosted,
+                )
+            return QueryResult(True, witness, ROUTE_BASE_SEARCH, probes, hosted, rescued)
+    return QueryResult(False, None, ROUTE_BASE_SEARCH, probes, hosted)
 
 
 def walk_search_baseline(

@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic       4 bytes  "OTIX"
-    version     u8       currently 2
+    version     u8       currently 3
     text hash   32 bytes sha256 of the sentinel-terminated text
     n           u64      content length
     length lo   u32
@@ -17,6 +17,9 @@ Layout (all integers little-endian):
                 one occurrence, sorted by left_ot
     base count  u64
     per node:   u64 node id, u64 suffix count, suffixes as count x i64
+                key * (n + 1) + s: base suffix s keyed by the OSHR preorder
+                number of the deepest internal node whose label ends at s,
+                sorted ascending
     origins     3 x u64  entry totals per origin code
 
 Node ids are deterministic for a given text (the tree builder is
@@ -44,7 +47,7 @@ from .oshr import OshrTree
 from .suffix_tree import SuffixTree
 
 MAGIC = b"OTIX"
-VERSION = 2
+VERSION = 3
 
 _CLASS_CODES = {CLASSIFY_LINKED: 0, CLASSIFY_UNLINKED: 1}
 _CLASS_NAMES = {v: k for k, v in _CLASS_CODES.items()}

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from otindex.build import (
     CLASSIFY_LINKED,
@@ -293,12 +295,12 @@ class TestBuildBanana:
         # reference-leaf records {A: 1, ANA: {1, 3}} plus the one leaf-edge
         # cover record: the non-derivable pair (ANA, leaf 1) has image
         # occurrence 1 + 3 = 4, recorded at the image leaf's parent NA
-        got = {self.st.label(k): list(v) for k, v in self.idx.base_suffixes.items()}
+        got = {self.st.label(k): self.idx.base_suffixes_at(k) for k in self.idx.base_suffixes}
         assert got == {b"A": [1], b"ANA": [1, 3], b"NA": [4]}
 
     def test_sparse_store_without_leaf_edge_cover(self):
         idx = build_index(self.st, self.oshr, BuildConfig(leaf_edge_cover=False))
-        got = {self.st.label(k): list(v) for k, v in idx.base_suffixes.items()}
+        got = {self.st.label(k): idx.base_suffixes_at(k) for k in idx.base_suffixes}
         assert got == {b"A": [1], b"ANA": [1, 3]}
         # entry lists are unaffected by the cover knob
         assert idx.entries == self.idx.entries
@@ -337,13 +339,13 @@ def test_build_single_run_text():
         b"AAA": [(b"", 1)],
     }
     assert idx.origin_counts == {ORIGIN_BASE: 3, ORIGIN_SKIPPED: 0, ORIGIN_SKIPPED_XREF: 0}
-    assert {st.label(k): list(v) for k, v in idx.base_suffixes.items()} == {
+    assert {st.label(k): idx.base_suffixes_at(k) for k in idx.base_suffixes} == {
         b"A": [3],
         b"AA": [2],
         b"AAA": [1],
     }
     sparse = build_index(st, None, BuildConfig(leaf_edge_cover=False))
-    assert {st.label(k): list(v) for k, v in sparse.base_suffixes.items()} == {
+    assert {st.label(k): sparse.base_suffixes_at(k) for k in sparse.base_suffixes} == {
         b"AAA": [1]
     }
 
@@ -352,7 +354,7 @@ def test_leaf_edge_cover_banana():
     from otindex.build import leaf_edge_cover_suffixes
 
     st = tree(b"BANANA")
-    cover = leaf_edge_cover_suffixes(st)
+    _, cover = leaf_edge_cover_suffixes(st, OshrTree(st))
     assert {st.label(k): sorted(v) for k, v in cover.items()} == {b"NA": [4]}
 
 
@@ -363,7 +365,7 @@ def test_leaf_edge_cover_unique_occurrence_text():
     from otindex.build import leaf_edge_cover_suffixes
 
     st = tree(b"ABPZXBPZABQPW")
-    cover = leaf_edge_cover_suffixes(st)
+    _, cover = leaf_edge_cover_suffixes(st, OshrTree(st))
     p_node = node_by_label(st, b"P")
     pz_node = node_by_label(st, b"PZ")
     assert 2 in cover[p_node]
@@ -419,17 +421,91 @@ def test_base_suffix_store_matches_oshr_layer(seed, n, sigma):
     sparse = build_index(st, None, BuildConfig(leaf_edge_cover=False))
     raw = base_suffixes_from_reference_leaves(st, reference_leaf_contexts(st))
     assert set(sparse.base_suffixes) == set(raw)
-    for node, arr in sparse.base_suffixes.items():
-        assert list(arr) == sorted(e.suffix for e in raw[node])
+    for node in sparse.base_suffixes:
+        assert sparse.base_suffixes_at(node) == sorted(e.suffix for e in raw[node])
     # the default store is a superset, and every record is a sound
     # occurrence of its node's label
     full = build_index(st)
-    for node, arr in sparse.base_suffixes.items():
-        assert set(arr) <= set(full.base_suffixes[node])
-    for node, arr in full.base_suffixes.items():
-        for s in arr:
+    for node in sparse.base_suffixes:
+        assert set(sparse.base_suffixes_at(node)) <= set(full.base_suffixes_at(node))
+    for node in full.base_suffixes:
+        for s in full.base_suffixes_at(node):
             assert st.text.data[s : s + st.depth[node]] == st.label(node)
             assert st.in_subtree(node, st.leaf_for_suffix[s])
+
+
+# ---------------------------------------------------------------------------
+# base-suffix keys: containment of the stored key == the subtree test
+# ---------------------------------------------------------------------------
+
+
+def reference_base_suffix_sets(st, leaf_edge_cover: bool) -> dict[int, set[int]]:
+    """Unkeyed base-suffix sets: reference-leaf records plus, when enabled,
+    the leaf-edge cover, computed pair by pair as the store's definition
+    reads."""
+    from otindex.oshr import base_suffixes_from_reference_leaves
+
+    out = {
+        node: {r.suffix for r in recs}
+        for node, recs in base_suffixes_from_reference_leaves(
+            st, reference_leaf_contexts(st)
+        ).items()
+    }
+    if not leaf_edge_cover:
+        return out
+    anc = ancestor_depth_masks(st)
+    for s in range(st.n + 1):
+        f = st.leaf_for_suffix[s]
+        blocked = anc[st.leaf_for_suffix[s - 1]] if s else 0
+        v = st.parent[f]
+        while v != st.root:
+            d = st.depth[v]
+            if not s or not (blocked >> (d + 1)) & 1:
+                q = s + d
+                w = st.parent[st.leaf_for_suffix[q]]
+                while st.depth[w] > st.depth[st.parent[f]] - d:
+                    out.setdefault(w, set()).add(q)
+                    w = st.parent[w]
+            v = st.parent[v]
+    return out
+
+
+@pytest.mark.parametrize("cover", [True, False], ids=["cover", "sparse"])
+@pytest.mark.parametrize(
+    "text",
+    [with_sentinel(b"BANANA"), with_sentinel(b"MISSISSIPPI"), with_sentinel(b"AAAA")]
+    + [random_text(seed, n, sigma) for seed, n, sigma in SEEDS],
+    ids=lambda t: t.content[:12].decode(),
+)
+def test_decoded_base_suffixes_match_reference_sets(text, cover):
+    st = build(text)
+    idx = build_index(st, None, BuildConfig(leaf_edge_cover=cover))
+    want = reference_base_suffix_sets(st, cover)
+    assert set(idx.base_suffixes) == set(want)
+    for node, qs in want.items():
+        assert idx.base_suffixes_at(node) == sorted(qs)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st_.integers(min_value=2, max_value=4).flatmap(
+        lambda sig: st_.text(alphabet="ABCD"[:sig], min_size=1, max_size=40)
+    )
+)
+def test_base_suffix_key_containment_is_the_subtree_test(content):
+    st = build(with_sentinel(content.encode()))
+    oshr = OshrTree(st)
+    idx = build_index(st, oshr)
+    n1 = st.n + 1
+    nodes = internal_nodes(st)
+    for arr in idx.base_suffixes.values():
+        assert list(arr) == sorted(arr)
+        for packed in arr:
+            key, s = divmod(packed, n1)
+            for i in nodes:
+                di = st.depth[i]
+                under = s >= di and st.in_subtree(i, st.leaf_for_suffix[s - di])
+                assert (oshr.left_ot[i] <= key <= oshr.right_ot[i]) == under
 
 
 # ---------------------------------------------------------------------------

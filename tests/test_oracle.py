@@ -5,6 +5,8 @@ hand-traced facts on the two fixture texts before any differential run is
 trusted.
 """
 
+from array import array
+
 import pytest
 
 from otindex.build import (
@@ -235,6 +237,24 @@ class TestAuditFixtures:
         assert rep.clean
         assert rep.pairs > 0 and rep.found > 0
         assert rep.max_entry_ratio <= 1.0
+
+    def test_structure_check_flags_bad_base_suffix_keys(self):
+        from otindex.build import build_index
+        from otindex.oracle import _structure_violations
+
+        st = build(MISSISSIPPI)
+        idx = build_index(st)
+        assert _structure_violations(st, idx) == 0
+        n1 = st.n + 1
+        node, arr = next(
+            (v, a) for v, a in idx.base_suffixes.items() if any(x >= n1 for x in a)
+        )
+        keyed = next(x for x in arr if x >= n1)
+        # re-keyed by the root: its label ends at s, but it is not the deepest
+        idx.base_suffixes[node] = array("q", sorted(x % n1 if x == keyed else x for x in arr))
+        assert _structure_violations(st, idx) == 1
+        idx.base_suffixes[node] = array("q", sorted([*arr, keyed]))  # a repeat
+        assert _structure_violations(st, idx) == 1
 
     def test_route_counts_cover_all_pairs(self):
         reports, _ = run_single_text(BANANA, [BuildConfig()])

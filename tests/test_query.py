@@ -15,7 +15,7 @@ from otindex.build import (
 from otindex.oracle import random_text
 from otindex.oshr import OshrTree
 from otindex.query import (
-    ROUTE_BASE_SUFFIX,
+    ROUTE_BASE_SEARCH,
     ROUTE_BINARY,
     ROUTE_LEAF,
     ROUTE_NOT_IN_TEXT,
@@ -23,7 +23,9 @@ from otindex.query import (
     ROUTE_WALK,
     Query,
     QueryConfigError,
+    locate,
     search,
+    search_at,
     search_many,
     walk_search_baseline,
 )
@@ -100,14 +102,15 @@ class TestBananaQueries:
     def test_internal_locus_miss(self):
         # "A"+"ANA" = AANA does not occur in BANANA.
         _, res = self.ask(b"ANA", b"A")
-        assert not res.found and res.route == ROUTE_BASE_SUFFIX
+        assert not res.found and res.route == ROUTE_BASE_SEARCH
 
     def test_spurious_transport_rejected(self):
         # "NA"+"ANA" = NAANA does not occur; the host list for ANA holds a
         # root-keyed entry whose interval does not sit inside NA's interval,
-        # and the base suffixes (1 and 3) both fail the subtree check.
+        # and the base suffixes (1 and 3) are keyed by nodes (A, ANA) outside
+        # NA's OSHR interval.
         _, res = self.ask(b"ANA", b"NA")
-        assert not res.found and res.route == ROUTE_BASE_SUFFIX
+        assert not res.found and res.route == ROUTE_BASE_SEARCH
         assert res.host_entries == 1
 
     def test_empty_pattern_is_trivially_present(self):
@@ -135,7 +138,7 @@ def test_sparse_store_misses_leaf_edge_loci():
     assert not search(sparse, Query(b"N", ana)).found
     _, full = indexed(b"BANANA")
     res = search(full, Query(b"N", ana))
-    assert res.found and res.route == ROUTE_BASE_SUFFIX and res.witness == 1
+    assert res.found and res.route == ROUTE_BASE_SEARCH and res.witness == 1
 
 
 def test_length_mode_rejects_out_of_range_patterns():
@@ -193,6 +196,38 @@ def test_random_texts_agree_with_walk(seed, n, sigma):
         for i, res in zip(nodes, got):
             ref = walk_search_baseline(st, Query(pattern, i))
             assert res.found == ref.found, (pattern, st.label(i))
+
+
+def scan_base_suffixes(idx, locus: int, i: int) -> bool:
+    """Reference for step 5: test every base suffix stored at the locus."""
+    st = idx.st
+    di = st.depth[i]
+    return any(
+        s >= di and st.in_subtree(i, st.leaf_for_suffix[s - di])
+        for s in idx.base_suffixes_at(locus)
+    )
+
+
+@pytest.mark.parametrize("cover", [True, False], ids=["cover", "sparse"])
+@pytest.mark.parametrize(
+    "text",
+    [with_sentinel(b"BANANA")] + [random_text(*args) for args in SEEDS[:3]],
+    ids=lambda t: t.content[:12].decode(),
+)
+def test_base_search_agrees_with_linear_scan(text, cover):
+    st = build(text)
+    idx = build_index(st, None, BuildConfig(leaf_edge_cover=cover))
+    nodes = [v for v in range(st.n_nodes) if st.is_internal(v)]
+    answers = set()
+    for pattern in sorted(distinct_substrings(text.content, 8)):
+        outcome = locate(st, pattern)
+        for i in nodes:
+            res = search_at(idx, outcome, pattern, i)
+            if res.route == ROUTE_BASE_SEARCH:
+                answers.add(res.found)
+                assert res.found == scan_base_suffixes(idx, outcome.locus_below, i)
+    # sparse BANANA answers no base-search query yes
+    assert False in answers and (True in answers or not cover)
 
 
 @pytest.mark.parametrize("seed,n,sigma", SEEDS[:2])

@@ -66,13 +66,13 @@ class TestRoundTrip:
     @pytest.mark.parametrize("content", [b"BANANA", b"MISSISSIPPI", b"ABRACADABRA"])
     def test_stream_size_matches_layout(self, content):
         # header, host count, 16-byte host heads and 24 bytes (3 x i64) per
-        # entry, base count, 16-byte node heads and 8 bytes per suffix, and
-        # three origin totals
+        # entry, base count, 16-byte node heads and 8 bytes (one packed i64)
+        # per base suffix, and three origin totals
         idx = make_index(content)
         want = (
             len(MAGIC) + 1 + 32 + 8 + 4 + 4 + 3
             + 8 + sum(16 + 24 * len(idx.entries_at(h)) for h in idx.entries)
-            + 8 + sum(16 + 8 * len(a) for a in idx.base_suffixes.values())
+            + 8 + sum(16 + 8 * len(idx.base_suffixes_at(v)) for v in idx.base_suffixes)
             + 3 * 8
         )
         assert len(serialize(idx)) == want
@@ -94,7 +94,7 @@ class TestCorruption:
         with pytest.raises(BadMagicError):
             deserialize(bad, self.idx.st)
 
-    @pytest.mark.parametrize("version", [1, VERSION + 1])
+    @pytest.mark.parametrize("version", [1, 2, VERSION + 1])
     def test_version_mismatch(self, version):
         bad = self.blob[:4] + bytes([version]) + self.blob[5:]
         with pytest.raises(VersionMismatchError):
