@@ -11,8 +11,6 @@ command-line front end (``otindex``).
 
 from .bench import BenchReport, PatternProtocol, bench
 from .build import (
-    CLASSIFY_LINKED,
-    CLASSIFY_UNLINKED,
     BuildConfig,
     BuildError,
     IndexStats,
@@ -33,6 +31,13 @@ from .query import (
     search_many,
     walk_search_baseline,
 )
+from .reference import (
+    CLASSIFY_LINKED,
+    CLASSIFY_UNLINKED,
+    ReferenceConfig,
+    build_reference,
+    reduce_to_deepest,
+)
 from .storage import StorageError, deserialize, load_index, save_index, serialize
 from .suffix_tree import SuffixTree, WalkCounters, build, stats
 from .text import Alphabet, Text, TextError, alphabet, preprocess_fasta, with_sentinel
@@ -51,6 +56,7 @@ __all__ = [
     "Query",
     "QueryConfigError",
     "QueryResult",
+    "ReferenceConfig",
     "StorageError",
     "SuffixTree",
     "Text",
@@ -63,6 +69,7 @@ __all__ = [
     "brute_truth",
     "build",
     "build_index",
+    "build_reference",
     "deserialize",
     "genome_slice",
     "index_stats",
@@ -71,6 +78,7 @@ __all__ = [
     "parse_length_mode",
     "preprocess_fasta",
     "random_text",
+    "reduce_to_deepest",
     "save_index",
     "search",
     "search_at",

@@ -23,16 +23,7 @@ import sys
 import time
 
 from .bench import DEFAULT_NODE_CAP, bench
-from .build import (
-    CLASSIFY_LINKED,
-    CLASSIFY_UNLINKED,
-    BuildConfig,
-    BuildError,
-    OtIndex,
-    build_index,
-    index_stats,
-    parse_length_mode,
-)
+from .build import BuildConfig, BuildError, build_index, index_stats, parse_length_mode
 from .oracle import (
     AUDIT_SEED_DEFAULT,
     AUDIT_TEXTS_DEFAULT,
@@ -122,12 +113,7 @@ def cmd_oshr_stats(args) -> int:
 
 def cmd_build(args) -> int:
     text = _read_text(args.text)
-    cfg = BuildConfig(
-        length_mode=parse_length_mode(args.length_mode),
-        classification_mode=args.classification,
-        exclusion_rule_enabled=not args.no_exclusion,
-        leaf_edge_cover=not args.no_leaf_cover,
-    )
+    cfg = BuildConfig(length_mode=parse_length_mode(args.length_mode))
     t0 = time.perf_counter()
     st = build(text)
     t1 = time.perf_counter()
@@ -140,12 +126,6 @@ def cmd_build(args) -> int:
         ("text_length", text.n),
         ("hosts", s.hosts),
         ("total_entries", s.total_entries),
-    ]
-    rows += [(f"entries_{k}", v) for k, v in s.origin_counts.items()]
-    rows += [
-        ("base_suffix_nodes", s.base_suffix_nodes),
-        ("base_suffix_records", s.base_suffixes),
-        ("leaf_cover_records", s.leaf_cover_suffixes),
         ("max_host_entries", s.max_host_entries),
         ("tree_build_s", f"{t1 - t0:.3f}"),
         ("index_build_s", f"{t2 - t1:.3f}"),
@@ -165,11 +145,6 @@ def cmd_index_stats(args) -> int:
         ("config", info["config"].describe()),
         ("hosts", info["hosts"]),
         ("total_entries", info["total_entries"]),
-    ]
-    rows += [(f"entries_{k}", v) for k, v in info["origin_counts"].items()]
-    rows += [
-        ("base_suffix_nodes", info["base_suffix_nodes"]),
-        ("base_suffix_records", info["base_suffix_records"]),
     ]
     _emit_rows(rows)
     return 0
@@ -198,7 +173,7 @@ def cmd_query(args) -> int:
     node = _resolve_node(st, args.node)
     pattern = args.pattern.encode()
     res = search(idx, Query(pattern, node))
-    header = ["pattern", "node", "found", "route", "witness", "probes", "host_entries", "rescue"]
+    header = ["pattern", "node", "found", "route", "witness", "probes", "host_entries"]
     row = [
         args.pattern,
         node,
@@ -207,7 +182,6 @@ def cmd_query(args) -> int:
         "" if res.witness is None else res.witness,
         res.probes,
         res.host_entries,
-        int(res.fallback_rescue),
     ]
     if args.baseline:
         counters = WalkCounters()
@@ -228,8 +202,8 @@ AUDIT_TSV_COLUMNS = (
     "misses",
     "soundness_failures",
     "structure_failures",
+    "key_set_mismatches",
     "probe_violations",
-    "rescues",
     "total_entries",
     "base_suffix_records",
     "entry_bound_violations",
@@ -269,8 +243,8 @@ def cmd_audit(args) -> int:
                     r.misses,
                     r.soundness_failures,
                     r.structure_failures,
+                    r.key_set_mismatches,
                     r.probe_violations,
-                    r.rescues,
                     r.total_entries,
                     r.base_suffix_records,
                     r.entry_bound_violations,
@@ -357,23 +331,6 @@ def make_parser() -> argparse.ArgumentParser:
         default="all",
         help="all | exact:N | atmost:N | range:LO:HI (default all)",
     )
-    p.add_argument(
-        "--classification",
-        choices=[CLASSIFY_LINKED, CLASSIFY_UNLINKED],
-        default=CLASSIFY_LINKED,
-        help="which skipped nodes produce direct entries (default %(default)s)",
-    )
-    p.add_argument(
-        "--no-exclusion",
-        action="store_true",
-        help="keep base paths that the redundancy rule would drop",
-    )
-    p.add_argument(
-        "--no-leaf-cover",
-        action="store_true",
-        help="drop the extra base suffixes that cover leaf-edge loci "
-        "(reproduces the sparse reference-leaf-only store)",
-    )
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("index-stats", help="summarize a stored index")
@@ -384,11 +341,9 @@ def make_parser() -> argparse.ArgumentParser:
         "query",
         help="one pattern-under-node query",
         description="Answer one query from a stored index.  The TSV row gives "
-        "the route that answered it (not-in-text, root-trivial, leaf, "
-        "binary-search for the host entry list, base-search for the keyed "
-        "base-suffix list), the witness, the host-list probes and length, and "
-        "rescue=1 when base-search found an occurrence after a nonempty host "
-        "list missed.",
+        "the route that answered it (not-in-text, root-trivial, leaf, or "
+        "binary-search for the locus node's store), the witness, and the "
+        "probes and length of that store.",
     )
     p.add_argument("index", metavar="index.otix")
     p.add_argument("text")
@@ -413,7 +368,8 @@ def make_parser() -> argparse.ArgumentParser:
         "--configs",
         choices=["all", "default"],
         default="all",
-        help="'all' runs the full 8-way grid, 'default' just the recommended build",
+        help="'all' runs the serving build and the paper's 8-way reference grid, "
+        "'default' just the serving build",
     )
     p.add_argument(
         "--no-minimize",

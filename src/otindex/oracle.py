@@ -14,10 +14,19 @@ reproduced from its seed alone, in any implementation of the generator.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .build import BuildConfig, build_index
+from .build import BuildConfig, OtIndex, build_index
 from .oshr import OshrTree
+from .reference import (
+    CLASSIFY_LINKED,
+    CLASSIFY_UNLINKED,
+    ORIGIN_LABELS,
+    ReferenceConfig,
+    build_reference,
+    reduce_to_deepest,
+)
 from .query import Query, QueryResult, search, search_many, walk_search_baseline
 from .suffix_tree import SuffixTree, build
 from .text import Text, alphabet, with_sentinel
@@ -96,6 +105,19 @@ def genome_slice(seed: int, n: int) -> Text:
             unit = out[at : at + unit_len]
             out += mutate(bytearray(unit * (3 + next(stream) % 28)), 300)
     return with_sentinel(bytes(out[:n]))
+
+
+def fibonacci_word(n: int) -> bytes:
+    """The first ``n`` symbols of the Fibonacci word over A, B."""
+    prev, cur = b"A", b"AB"
+    while len(cur) < n:
+        prev, cur = cur, cur + prev
+    return cur[:n]
+
+
+def thue_morse_word(n: int) -> bytes:
+    """The first ``n`` symbols of the Thue-Morse word over A, B."""
+    return bytes(b"AB"[bin(k).count("1") & 1] for k in range(n))
 
 
 # --------------------------------------------------------------- ground truth
@@ -208,30 +230,50 @@ EXAMPLE_CAP = 5
 AUDIT_SEED_DEFAULT = 2026
 AUDIT_TEXTS_DEFAULT = 200
 
-FIXTURE_CONTENTS = (b"BANANA", b"MISSISSIPPI")
+# the two classic texts, then texts where suffix trees degenerate: single
+# runs, short periods, Fibonacci and Thue-Morse words, long runs.  The
+# reference builder is quadratic on them, so they stay short.
+FIXTURE_CONTENTS = (
+    b"BANANA",
+    b"MISSISSIPPI",
+    b"A" * 64,
+    b"AB" * 32,
+    b"AAB" * 21,
+    b"ABCA" * 12,
+    fibonacci_word(89),
+    thue_morse_word(64),
+    b"A" * 20 + b"B" * 12 + b"A" * 20 + b"C" + b"A" * 19 + b"B" * 12,
+)
 
 
-def audit_config_matrix() -> tuple[BuildConfig, ...]:
-    """The full experimental grid: classification x exclusion x leaf cover.
+def audit_config_matrix() -> tuple[BuildConfig | ReferenceConfig, ...]:
+    """The serving build, then the paper's grid: classification x exclusion
+    x leaf cover.
 
-    The default configuration comes first so reports lead with the
-    recommended build; the cover-off rows reproduce the sparse store whose
-    completeness gaps the audit documents.
+    The serving build comes first so reports lead with it; the reference
+    cover-off rows reproduce the sparse store whose completeness gaps the
+    audit documents.
     """
-    from .build import CLASSIFY_LINKED, CLASSIFY_UNLINKED
-
-    out = []
+    out: list[BuildConfig | ReferenceConfig] = [BuildConfig()]
     for mode in (CLASSIFY_LINKED, CLASSIFY_UNLINKED):
         for excl in (True, False):
             for cover in (True, False):
                 out.append(
-                    BuildConfig(
+                    ReferenceConfig(
                         classification_mode=mode,
                         exclusion_rule_enabled=excl,
                         leaf_edge_cover=cover,
                     )
                 )
     return tuple(out)
+
+
+def index_for(st: SuffixTree, oshr: OshrTree, cfg):
+    """(store answered by search, reference store or None) for one grid row."""
+    if isinstance(cfg, ReferenceConfig):
+        ref = build_reference(st, oshr, cfg)
+        return reduce_to_deepest(ref), ref
+    return build_index(st, oshr, cfg), None
 
 
 @dataclass(frozen=True)
@@ -247,18 +289,22 @@ class Counterexample:
 
 @dataclass
 class AuditReport:
-    """Differential tallies for one build configuration across a corpus."""
+    """Differential tallies for one build configuration across a corpus.
 
-    config: BuildConfig
+    For a reference row, total_entries, base_suffix_records and the entry
+    bound count the paper's store; for the serving row, stored values.
+    """
+
+    config: BuildConfig | ReferenceConfig
     texts: int = 0
     pairs: int = 0
     found: int = 0
     spurious: int = 0  # index says yes, naive scan says no
     misses: int = 0  # naive scan says yes, index says no
     soundness_failures: int = 0  # witness rejected by position bookkeeping
-    structure_failures: int = 0  # entry or base-suffix store invariant broken
+    structure_failures: int = 0  # store invariant broken
+    key_set_mismatches: int = 0  # nodes where a reduced reference store disagrees
     probe_violations: int = 0  # probes above ceil(log2 m) + 1
-    rescues: int = 0  # base-suffix search hit after a nonempty host list missed
     total_entries: int = 0
     base_suffix_records: int = 0
     entry_bound_violations: int = 0  # texts where entries exceed 2 * sigma * n
@@ -274,6 +320,7 @@ class AuditReport:
             and self.misses == 0
             and self.soundness_failures == 0
             and self.structure_failures == 0
+            and self.key_set_mismatches == 0
             and self.probe_violations == 0
         )
 
@@ -314,6 +361,7 @@ class AuditRun:
             and all(
                 r.soundness_failures == 0
                 and r.structure_failures == 0
+                and r.key_set_mismatches == 0
                 and r.probe_violations == 0
                 for r in self.reports
             )
@@ -324,60 +372,68 @@ def _probe_cap(m: int) -> int:
     return math.ceil(math.log2(m)) + 1
 
 
-def _structure_violations(st: SuffixTree, idx) -> int:
-    """Count broken store invariants; zero on every healthy build."""
+def _structure_violations(st: SuffixTree, idx: OtIndex) -> int:
+    """Count broken store invariants; zero on every healthy build.
+
+    Per node, keys are strictly ascending and never the root's; each value
+    is sound (the node's label occurs at occ and the key node's label ends
+    there); each key is deepest (the next key lies past its OSHR interval).
+    """
     bad = 0
     data = st.text.data
-    for host in idx.entries:
-        dh = st.depth[host]
-        label = st.label(host)
-        rows = idx.entries_at(host)
-        lefts = [e.left_ot for e in rows]
-        if lefts != sorted(lefts) or len(set(lefts)) != len(lefts):
-            bad += 1
-        if len({e.key_node for e in rows}) != len(rows):
-            bad += 1
-        for e in rows:
-            w = e.occ - st.depth[e.key_node]
-            if (
-                data[e.occ : e.occ + dh] != label
-                or w < 0
-                or not st.in_subtree(e.key_node, st.leaf_for_suffix[w])
-            ):
-                bad += 1
-    # base suffixes: packed key * (n + 1) + s, strictly ascending, each s
-    # once, keyed by the deepest internal node whose label ends at s
+    depth = st.depth
     n1 = st.n + 1
     pre = idx.oshr.preorder
-    oshr_kids = idx.oshr.children
-    for node, arr in idx.base_suffixes.items():
-        lbl = st.label(node)
-        d = st.depth[node]
-        suffixes = idx.base_suffixes_at(node)
-        if list(arr) != sorted(set(arr)) or len(set(suffixes)) != len(suffixes):
-            bad += 1
-        for s in suffixes:
-            if data[s : s + d] != lbl or not st.in_subtree(node, st.leaf_for_suffix[s]):
-                bad += 1
-        for packed in arr:
-            key, s = divmod(packed, n1)
-            if not 0 <= key < len(pre):
+    right_ot = idx.oshr.right_ot
+    for node, arr in idx.entries.items():
+        label = st.label(node)
+        d = len(label)
+        prev_key = prev_end = 0
+        for value in arr:
+            key, occ = divmod(value, n1)
+            if not 0 < key < len(pre):
                 bad += 1
                 continue
+            if key <= prev_key or value < prev_end:
+                bad += 1  # repeated or out of order, or the previous key is not deepest
             top = pre[key]
-            dt = st.depth[top]
-            if s < dt or data[s - dt : s] != st.label(top):
+            dt = depth[top]
+            if data[occ : occ + d] != label or occ < dt or data[occ - dt : occ] != st.label(top):
                 bad += 1
-            elif s > dt and any(
-                st.in_subtree(c, st.leaf_for_suffix[s - dt - 1])
-                for c in oshr_kids.get(top, ())
-            ):
-                bad += 1  # a deeper node's label also ends at s
+            prev_key = key
+            prev_end = (right_ot[top] + 1) * n1
+    return bad
+
+
+def _key_set_mismatches(direct: OtIndex, reduced: OtIndex, *, exact: bool) -> int:
+    """Nodes where a reduced reference store disagrees with the direct store.
+
+    With ``exact`` the key sets must be equal.  Otherwise each reduced key's
+    OSHR interval must hold a direct key: the reduced store then says yes
+    only where the direct store does.  A plain subset is too strong for an
+    incomplete store, which keeps an ancestor key when it lacks the deeper
+    one (BANANA, node NA: key A where the direct store has ANA).
+    """
+    n1 = direct.st.n + 1
+    pre = direct.oshr.preorder
+    right_ot = direct.oshr.right_ot
+    bad = 0
+    for node in direct.entries.keys() | reduced.entries.keys():
+        want = [v // n1 for v in direct.entries.get(node, ())]
+        got = [v // n1 for v in reduced.entries.get(node, ())]
+        if exact:
+            bad += got != want
+            continue
+        for k in got:
+            at = bisect_left(want, k)
+            if at == len(want) or want[at] > right_ot[pre[k]]:
+                bad += 1
+                break
     return bad
 
 
 def _failure_reproduces(
-    content: bytes, pattern: bytes, node_label: bytes, cfg: BuildConfig, kind: str
+    content: bytes, pattern: bytes, node_label: bytes, cfg, kind: str
 ) -> bool:
     st = build(with_sentinel(content))
     out = st.walk_from(st.root, node_label)
@@ -386,7 +442,7 @@ def _failure_reproduces(
     node = out.locus_below
     if not st.is_internal(node):
         return False
-    idx = build_index(st, OshrTree(st), cfg)
+    idx, _ref = index_for(st, OshrTree(st), cfg)
     try:
         res = search(idx, Query(pattern, node))
     except AssertionError:
@@ -398,7 +454,7 @@ def _failure_reproduces(
 
 
 def minimize_counterexample(
-    content: bytes, pattern: bytes, node_label: bytes, cfg: BuildConfig, kind: str
+    content: bytes, pattern: bytes, node_label: bytes, cfg, kind: str
 ) -> bytes:
     """Shortest reproducing prefix of ``content``, found by length bisection.
 
@@ -423,7 +479,7 @@ def _note(
     text: Text,
     pattern: bytes,
     node_label: bytes,
-    cfg: BuildConfig,
+    cfg,
     minimize: bool,
 ) -> None:
     if len(rep.counterexamples) >= EXAMPLE_CAP:
@@ -449,9 +505,10 @@ def audit_text(
 
     Layer 1 is the naive scan (brute_truth), layer 2 the walk baseline
     checked against it, layer 3 the indexed search checked against both.
+    Each reference row's reduced store is also compared with the direct
+    store, node by node (:func:`_key_set_mismatches`): equal key sets with
+    the leaf-edge cover, covered keys without it.
     """
-    from .build import ORIGIN_LABELS
-
     st = build(text)
     oshr = OshrTree(st)
     gt = brute_truth(st, max_len)
@@ -463,16 +520,27 @@ def audit_text(
     sigma = alphabet(text).size_with_sentinel
     bound = 2 * sigma * text.n
 
+    direct: dict[BuildConfig, OtIndex] = {}
     for cfg, rep in zip(configs, reports):
-        idx = build_index(st, oshr, cfg)
+        idx, ref = index_for(st, oshr, cfg)
         rep.texts += 1
         rep.structure_failures += _structure_violations(st, idx)
-        tot = idx.total_entries
+        if ref is None:
+            direct[cfg] = idx
+            tot = idx.total_entries
+        else:
+            tot = ref.total_entries
+            rep.base_suffix_records += sum(len(a) for a in ref.base_suffixes.values())
+            for code, cnt in ref.origin_counts.items():
+                key = ORIGIN_LABELS[code]
+                rep.origin_entries[key] = rep.origin_entries.get(key, 0) + cnt
+            want = BuildConfig(cfg.length_mode)
+            if want not in direct:
+                direct[want] = build_index(st, oshr, want)
+            rep.key_set_mismatches += _key_set_mismatches(
+                direct[want], idx, exact=cfg.leaf_edge_cover
+            )
         rep.total_entries += tot
-        rep.base_suffix_records += sum(len(a) for a in idx.base_suffixes.values())
-        for code, cnt in idx.origin_counts.items():
-            key = ORIGIN_LABELS[code]
-            rep.origin_entries[key] = rep.origin_entries.get(key, 0) + cnt
         if tot > bound:
             rep.entry_bound_violations += 1
         ratio = tot / bound
@@ -504,8 +572,6 @@ def audit_text(
                     _note(rep, "spurious", text, p, st.label(i), cfg, False)
                     continue
                 rep.route_counts[res.route] = rep.route_counts.get(res.route, 0) + 1
-                if res.fallback_rescue:
-                    rep.rescues += 1
                 if res.host_entries and res.probes > _probe_cap(res.host_entries):
                     rep.probe_violations += 1
                 d = depths[i]

@@ -7,15 +7,9 @@ subtree(i) and Text[j + depth(i) .. j + depth(i) + |p|) = p.  The pipeline:
 1. walk p from the root; if it does not match fully, p is not in the text;
 2. i = root: any leaf under the walk's locus witnesses trivially;
 3. locus on a leaf edge: p occurs exactly once, check that single position;
-4. otherwise binary-search the locus node's entry list for a key inside
-   i's OSHR interval (interval containment == suffix-link reachability);
-5. finally binary-search the locus node's base suffixes, keyed the same
-   way by the deepest internal node whose label ends at each suffix.
-
-Step 5 runs even when step 4 had a nonempty list and missed: the entry list
-is not known to subsume the base suffixes, and the extra search is sound.
-A hit there after a nonempty-list miss is flagged on the result and logged
-so the subsumption question accumulates evidence.
+4. otherwise binary-search the locus node's store, values
+   key * (n + 1) + occ, for the first key inside i's OSHR interval
+   (interval containment == suffix-link reachability).
 
 Every positive answer is re-verified against the text before it is
 returned; an unsound hit raises instead of returning.
@@ -23,20 +17,16 @@ returned; an unsound hit raises instead of returning.
 
 from __future__ import annotations
 
-import logging
-from bisect import bisect_left
 from dataclasses import dataclass
+from typing import ClassVar
 
-from .build import ENTRY_WIDTH, F_LEFT, F_OCC, F_RIGHT, OtIndex
+from .build import OtIndex
 from .suffix_tree import SuffixTree, WalkCounters, WalkOutcome
-
-logger = logging.getLogger(__name__)
 
 ROUTE_NOT_IN_TEXT = "not-in-text"
 ROUTE_TRIVIAL = "root-trivial"
 ROUTE_LEAF = "leaf"
 ROUTE_BINARY = "binary-search"
-ROUTE_BASE_SEARCH = "base-search"
 ROUTE_WALK = "walk"
 
 
@@ -57,7 +47,9 @@ class QueryResult:
     route: str
     probes: int = 0
     host_entries: int = 0
-    fallback_rescue: bool = False
+
+    # read only by perfbench/layers.py: no second search can rescue an answer
+    fallback_rescue: ClassVar[bool] = False
 
 
 def _verify(st: SuffixTree, pattern: bytes, i: int, witness: int) -> None:
@@ -95,17 +87,39 @@ def search_many(idx: OtIndex, pattern: bytes, nodes) -> list[QueryResult]:
     """Batch form sharing one root walk across start nodes.
 
     Equivalent to [search(idx, Query(pattern, i)) for i in nodes]; audits and
-    benchmarks use it to amortize the walk.
+    benchmarks use it to amortize the walk.  A leaf locus means a single
+    occurrence, which is taken once and tested against every node.
     """
     st = idx.st
     if len(pattern) == 0 or not idx.config.length_mode.admits(len(pattern)):
         return [search(idx, Query(pattern, i)) for i in nodes]
     outcome = locate(st, pattern)
-    return [search_at(idx, outcome, pattern, i) for i in nodes]
+    locus = outcome.locus_below
+    if outcome.matched < len(pattern) or st.is_internal(locus):
+        return [search_at(idx, outcome, pattern, i) for i in nodes]
+    q = st.suffix_idx[locus]
+    root = st.root
+    depth = st.depth
+    leaf_for_suffix = st.leaf_for_suffix
+    st_left = st.st_left
+    st_right = st.st_right
+    out = []
+    for i in nodes:
+        if i == root:
+            _verify(st, pattern, i, q)
+            out.append(QueryResult(True, q, ROUTE_TRIVIAL))
+            continue
+        w = q - depth[i]
+        if w >= 0 and st_left[i] <= st_left[leaf_for_suffix[w]] <= st_right[i]:
+            _verify(st, pattern, i, w)
+            out.append(QueryResult(True, w, ROUTE_LEAF))
+        else:
+            out.append(QueryResult(False, None, ROUTE_LEAF))
+    return out
 
 
 def search_at(idx: OtIndex, outcome: WalkOutcome, pattern: bytes, i: int) -> QueryResult:
-    """Steps 2-5 of the pipeline, after the shared root walk."""
+    """Steps 2-4 of the pipeline, after the shared root walk."""
     st = idx.st
     length = len(pattern)
     if outcome.matched < length:
@@ -125,48 +139,26 @@ def search_at(idx: OtIndex, outcome: WalkOutcome, pattern: bytes, i: int) -> Que
             return QueryResult(True, witness, ROUTE_LEAF)
         return QueryResult(False, None, ROUTE_LEAF)
 
+    # values are key * (n + 1) + occ: the first one at or above i's left end
+    # is a hit when its key is still inside i's OSHR interval
+    arr = idx.entries.get(locus, ())
+    m = len(arr)
+    n1 = st.n + 1
+    first = idx.oshr.left_ot[i] * n1
     probes = 0
-    hosted = 0
-    li = idx.oshr.left_ot[i]
-    ri = idx.oshr.right_ot[i]
-    arr = idx.entries.get(locus)
-    if arr:
-        hosted = len(arr) // ENTRY_WIDTH
-        lo, hi = 0, hosted
-        while lo < hi:
-            probes += 1
-            mid = (lo + hi) // 2
-            if arr[mid * ENTRY_WIDTH + F_LEFT] < li:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < hosted and arr[lo * ENTRY_WIDTH + F_LEFT] <= ri:
-            if arr[lo * ENTRY_WIDTH + F_RIGHT] > ri:
-                raise AssertionError("host entry interval escapes the query interval")
-            witness = arr[lo * ENTRY_WIDTH + F_OCC] - di
-            _verify(st, pattern, i, witness)
-            return QueryResult(True, witness, ROUTE_BINARY, probes, hosted)
-
-    # base suffixes are packed as key * (n + 1) + s: the first one keyed
-    # inside i's OSHR interval is a hit
-    suffixes = idx.base_suffixes.get(locus)
-    if suffixes:
-        n1 = st.n + 1
-        k = bisect_left(suffixes, li * n1)
-        if k < len(suffixes) and suffixes[k] < (ri + 1) * n1:
-            witness = suffixes[k] % n1 - di
-            _verify(st, pattern, i, witness)
-            rescued = hosted > 0
-            if rescued:
-                logger.debug(
-                    "base-suffix search rescued pattern %r under node %d "
-                    "after a %d-entry list missed",
-                    pattern,
-                    i,
-                    hosted,
-                )
-            return QueryResult(True, witness, ROUTE_BASE_SEARCH, probes, hosted, rescued)
-    return QueryResult(False, None, ROUTE_BASE_SEARCH, probes, hosted)
+    lo, hi = 0, m
+    while lo < hi:
+        probes += 1
+        mid = (lo + hi) // 2
+        if arr[mid] < first:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo < m and arr[lo] < (idx.oshr.right_ot[i] + 1) * n1:
+        witness = arr[lo] % n1 - di
+        _verify(st, pattern, i, witness)
+        return QueryResult(True, witness, ROUTE_BINARY, probes, m)
+    return QueryResult(False, None, ROUTE_BINARY, probes, m)
 
 
 def walk_search_baseline(

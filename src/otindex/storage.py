@@ -3,24 +3,16 @@
 Layout (all integers little-endian):
 
     magic       4 bytes  "OTIX"
-    version     u8       currently 3
+    version     u8       currently 4
     text hash   32 bytes sha256 of the sentinel-terminated text
     n           u64      content length
     length lo   u32
     length hi   u32      0 means unbounded
-    class mode  u8       0 = oshr-internal, 1 = oshr-leaf
-    exclusion   u8
-    leaf cover  u8
-    host count  u64
-    per host:   u64 node id, u64 entry count, entries as count x 3 i64
-                (left_ot, right_ot, occ): the key node's OSHR interval and
-                one occurrence, sorted by left_ot
-    base count  u64
-    per node:   u64 node id, u64 suffix count, suffixes as count x i64
-                key * (n + 1) + s: base suffix s keyed by the OSHR preorder
-                number of the deepest internal node whose label ends at s,
-                sorted ascending
-    origins     3 x u64  entry totals per origin code
+    node count  u64
+    per node:   u64 node id, u64 value count, values as count x i64
+                key * (n + 1) + occ: the OSHR preorder number of an internal
+                node whose label ends at text position occ, and occ an
+                occurrence of the node's label; sorted ascending
 
 Node ids are deterministic for a given text (the tree builder is
 deterministic), so storing ids instead of labels is safe; the text hash
@@ -34,25 +26,14 @@ import struct
 import sys
 from array import array
 
-from .build import (
-    CLASSIFY_LINKED,
-    CLASSIFY_UNLINKED,
-    ENTRY_WIDTH,
-    ORIGIN_LABELS,
-    BuildConfig,
-    LengthMode,
-    OtIndex,
-)
+from .build import BuildConfig, BuildError, LengthMode, OtIndex
 from .oshr import OshrTree
 from .suffix_tree import SuffixTree
 
 MAGIC = b"OTIX"
-VERSION = 3
+VERSION = 4
 
-_CLASS_CODES = {CLASSIFY_LINKED: 0, CLASSIFY_UNLINKED: 1}
-_CLASS_NAMES = {v: k for k, v in _CLASS_CODES.items()}
-
-_HEAD = struct.Struct("<4sB32sQIIBBB")
+_HEAD = struct.Struct("<4sB32sQII")
 _U64 = struct.Struct("<Q")
 _PAIR = struct.Struct("<QQ")
 
@@ -98,32 +79,22 @@ def _unpack_i64(raw: bytes) -> array:
 
 def serialize(idx: OtIndex) -> bytes:
     """Encode the index as a self-describing byte stream."""
-    cfg = idx.config
+    lengths = idx.config.length_mode
     out = [
         _HEAD.pack(
             MAGIC,
             VERSION,
             text_digest(idx.st.text.data),
             idx.st.text.n,
-            cfg.length_mode.lo,
-            cfg.length_mode.hi or 0,
-            _CLASS_CODES[cfg.classification_mode],
-            int(cfg.exclusion_rule_enabled),
-            int(cfg.leaf_edge_cover),
+            lengths.lo,
+            lengths.hi or 0,
         )
     ]
     out.append(_U64.pack(len(idx.entries)))
-    for host in sorted(idx.entries):
-        arr = idx.entries[host]
-        out.append(_PAIR.pack(host, len(arr) // ENTRY_WIDTH))
-        out.append(_pack_i64(arr))
-    out.append(_U64.pack(len(idx.base_suffixes)))
-    for node in sorted(idx.base_suffixes):
-        arr = idx.base_suffixes[node]
+    for node in sorted(idx.entries):
+        arr = idx.entries[node]
         out.append(_PAIR.pack(node, len(arr)))
         out.append(_pack_i64(arr))
-    for code in sorted(ORIGIN_LABELS):
-        out.append(_U64.pack(idx.origin_counts.get(code, 0)))
     return b"".join(out)
 
 
@@ -159,32 +130,19 @@ def _parse(blob: bytes):
     digest = r.take(32)
     (n,) = _U64.unpack(r.take(8))
     lo, hi = struct.unpack("<II", r.take(8))
-    class_code, excl, cover = r.take(3)
-    if class_code not in _CLASS_NAMES:
-        raise StorageError(f"unknown classification code {class_code}")
-    config = BuildConfig(
-        length_mode=LengthMode(lo, hi or None),
-        classification_mode=_CLASS_NAMES[class_code],
-        exclusion_rule_enabled=bool(excl),
-        leaf_edge_cover=bool(cover),
-    )
+    try:
+        config = BuildConfig(LengthMode(lo, hi or None))
+    except BuildError as exc:
+        raise StorageError(f"bad length range {lo}:{hi}") from exc
 
-    (n_hosts,) = _U64.unpack(r.take(8))
+    (n_nodes,) = _U64.unpack(r.take(8))
     entries: dict[int, array] = {}
-    for _ in range(n_hosts):
-        host, m = _PAIR.unpack(r.take(16))
-        entries[host] = _unpack_i64(r.take(m * ENTRY_WIDTH * 8))
-    (n_bases,) = _U64.unpack(r.take(8))
-    base_suffixes: dict[int, array] = {}
-    for _ in range(n_bases):
+    for _ in range(n_nodes):
         node, m = _PAIR.unpack(r.take(16))
-        base_suffixes[node] = _unpack_i64(r.take(m * 8))
-    origin_counts = {}
-    for code in sorted(ORIGIN_LABELS):
-        (origin_counts[code],) = _U64.unpack(r.take(8))
+        entries[node] = _unpack_i64(r.take(m * 8))
     if not r.done():
         raise StorageError(f"{len(blob) - r.at} bytes of trailing data")
-    return digest, n, config, entries, base_suffixes, origin_counts
+    return digest, n, config, entries
 
 
 def deserialize(blob: bytes, st: SuffixTree, oshr: OshrTree | None = None) -> OtIndex:
@@ -193,29 +151,24 @@ def deserialize(blob: bytes, st: SuffixTree, oshr: OshrTree | None = None) -> Ot
     The caller supplies the suffix tree rebuilt from the same text; the
     stored hash is checked against it before any structure is trusted.
     """
-    digest, n, config, entries, base_suffixes, origin_counts = _parse(blob)
+    digest, n, config, entries = _parse(blob)
     if digest != text_digest(st.text.data) or n != st.text.n:
         raise TextHashMismatchError("index was built over different text")
     if oshr is None:
         oshr = OshrTree(st)
-    return OtIndex(st, oshr, config, entries, base_suffixes, origin_counts)
+    return OtIndex(st, oshr, config, entries)
 
 
 def peek_stats(blob: bytes) -> dict:
-    """Summary of a stream without its text: config, sizes, origin totals."""
-    digest, n, config, entries, base_suffixes, origin_counts = _parse(blob)
+    """Summary of a stream without its text: config and sizes."""
+    digest, n, config, entries = _parse(blob)
     return {
         "version": VERSION,
         "text_sha256": digest.hex(),
         "text_length": n,
         "config": config,
         "hosts": len(entries),
-        "total_entries": sum(len(a) for a in entries.values()) // ENTRY_WIDTH,
-        "origin_counts": {
-            ORIGIN_LABELS[code]: cnt for code, cnt in origin_counts.items()
-        },
-        "base_suffix_nodes": len(base_suffixes),
-        "base_suffix_records": sum(len(a) for a in base_suffixes.values()),
+        "total_entries": sum(len(a) for a in entries.values()),
     }
 
 

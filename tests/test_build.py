@@ -1,4 +1,5 @@
-"""Index construction: special detection, base paths, entries, windows."""
+"""Index construction: the serving store built directly, and the paper's
+reference builder (special detection, base paths, entries, windows)."""
 
 from __future__ import annotations
 
@@ -7,29 +8,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from otindex.build import (
-    CLASSIFY_LINKED,
-    CLASSIFY_UNLINKED,
-    ORIGIN_BASE,
-    ORIGIN_SKIPPED,
-    ORIGIN_SKIPPED_XREF,
     BuildConfig,
+    BuildCounters,
     BuildError,
     LengthMode,
-    OtIndex,
-    ancestor_depth_masks,
     build_index,
-    detect_special_nodes,
-    enumerate_base_paths,
     index_stats,
-    last_extent_path,
     parse_length_mode,
+    top_keys,
 )
-from otindex.oracle import random_text
+from otindex.oracle import fibonacci_word, random_text, thue_morse_word
 from otindex.oshr import (
     OshrTree,
     reference_internal_nodes,
     reference_leaf_contexts,
     skipped_nodes,
+)
+from otindex.reference import (
+    CLASSIFY_LINKED,
+    CLASSIFY_UNLINKED,
+    ORIGIN_BASE,
+    ORIGIN_SKIPPED,
+    ORIGIN_SKIPPED_XREF,
+    ReferenceConfig,
+    ancestor_depth_masks,
+    build_reference,
+    detect_special_nodes,
+    enumerate_base_paths,
+    last_extent_path,
+    leaf_edge_cover_suffixes,
+    reduce_to_deepest,
 )
 from otindex.suffix_tree import build
 from otindex.text import with_sentinel
@@ -94,7 +102,7 @@ class TestLengthMode:
 
     def test_config_validation(self):
         with pytest.raises(BuildError):
-            BuildConfig(classification_mode="nonsense")
+            ReferenceConfig(classification_mode="nonsense")
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +283,7 @@ class TestBuildBanana:
     def setup_method(self):
         self.st = tree(b"BANANA")
         self.oshr = OshrTree(self.st)
-        self.idx = build_index(self.st, self.oshr)
+        self.idx = build_reference(self.st, self.oshr)
 
     def test_host_lists_exactly(self):
         digest = entry_digest(self.st, self.idx)
@@ -299,7 +307,7 @@ class TestBuildBanana:
         assert got == {b"A": [1], b"ANA": [1, 3], b"NA": [4]}
 
     def test_sparse_store_without_leaf_edge_cover(self):
-        idx = build_index(self.st, self.oshr, BuildConfig(leaf_edge_cover=False))
+        idx = build_reference(self.st, self.oshr, ReferenceConfig(leaf_edge_cover=False))
         got = {self.st.label(k): idx.base_suffixes_at(k) for k in idx.base_suffixes}
         assert got == {b"A": [1], b"ANA": [1, 3]}
         # entry lists are unaffected by the cover knob
@@ -307,16 +315,13 @@ class TestBuildBanana:
 
     def test_counts(self):
         assert self.idx.origin_counts == {ORIGIN_BASE: 2, ORIGIN_SKIPPED: 1, ORIGIN_SKIPPED_XREF: 0}
-        stats = index_stats(self.idx)
-        assert stats.total_entries == 3
-        assert stats.hosts == 3
-        assert stats.origin_counts["base-path"] == 2
-        assert stats.base_suffixes == 4
-        assert stats.leaf_cover_suffixes == 1
+        assert self.idx.total_entries == 3
+        assert len(self.idx.entries) == 3
+        assert sum(len(a) for a in self.idx.base_suffixes.values()) == 4
 
     def test_unlinked_mode_host_lists(self):
         st = self.st
-        idx = build_index(st, self.oshr, BuildConfig(classification_mode=CLASSIFY_UNLINKED))
+        idx = build_reference(st, self.oshr, ReferenceConfig(classification_mode=CLASSIFY_UNLINKED))
         assert entry_digest(st, idx) == {
             b"A": [(b"", 5)],
             b"NA": [(b"NA", 4)],
@@ -332,7 +337,7 @@ def test_build_single_run_text():
     # (AA, leaf 0) -> occurrence 2 at node AA, (A, leaf 0) -> 1 at AAA (a
     # duplicate of the reference-leaf record)
     st = tree(b"AAAA")
-    idx = build_index(st)
+    idx = build_reference(st)
     assert entry_digest(st, idx) == {
         b"A": [(b"AA", 3)],
         b"AA": [(b"A", 2)],
@@ -344,17 +349,15 @@ def test_build_single_run_text():
         b"AA": [2],
         b"AAA": [1],
     }
-    sparse = build_index(st, None, BuildConfig(leaf_edge_cover=False))
+    sparse = build_reference(st, None, ReferenceConfig(leaf_edge_cover=False))
     assert {st.label(k): sparse.base_suffixes_at(k) for k in sparse.base_suffixes} == {
         b"AAA": [1]
     }
 
 
 def test_leaf_edge_cover_banana():
-    from otindex.build import leaf_edge_cover_suffixes
-
     st = tree(b"BANANA")
-    _, cover = leaf_edge_cover_suffixes(st, OshrTree(st))
+    cover = leaf_edge_cover_suffixes(st)
     assert {st.label(k): sorted(v) for k, v in cover.items()} == {b"NA": [4]}
 
 
@@ -362,10 +365,8 @@ def test_leaf_edge_cover_unique_occurrence_text():
     # "ABP" occurs once, ending on a leaf edge, while "P" has an internal
     # locus; the cover must record occurrence 2 at both nodes of leaf(2)'s
     # path so a pattern-under-"AB" query can be answered from the store.
-    from otindex.build import leaf_edge_cover_suffixes
-
     st = tree(b"ABPZXBPZABQPW")
-    _, cover = leaf_edge_cover_suffixes(st, OshrTree(st))
+    cover = leaf_edge_cover_suffixes(st)
     p_node = node_by_label(st, b"P")
     pz_node = node_by_label(st, b"PZ")
     assert 2 in cover[p_node]
@@ -377,10 +378,10 @@ def test_leaf_edge_cover_unique_occurrence_text():
 # ---------------------------------------------------------------------------
 
 CONFIG_MATRIX = [
-    BuildConfig(),
-    BuildConfig(exclusion_rule_enabled=False),
-    BuildConfig(classification_mode=CLASSIFY_UNLINKED),
-    BuildConfig(classification_mode=CLASSIFY_UNLINKED, exclusion_rule_enabled=False),
+    ReferenceConfig(),
+    ReferenceConfig(exclusion_rule_enabled=False),
+    ReferenceConfig(classification_mode=CLASSIFY_UNLINKED),
+    ReferenceConfig(classification_mode=CLASSIFY_UNLINKED, exclusion_rule_enabled=False),
 ]
 
 
@@ -399,7 +400,7 @@ def check_entry_soundness(st, idx):
 def test_entries_sound_and_sorted(seed, n, sigma, cfg):
     st = build(random_text(seed, n, sigma))
     oshr = OshrTree(st)
-    idx = build_index(st, oshr, cfg)
+    idx = build_reference(st, oshr, cfg)
     check_entry_soundness(st, idx)
     for host in idx.entries:
         rows = idx.entries_at(host)
@@ -418,14 +419,14 @@ def test_base_suffix_store_matches_oshr_layer(seed, n, sigma):
     from otindex.oshr import base_suffixes_from_reference_leaves
 
     st = build(random_text(seed, n, sigma))
-    sparse = build_index(st, None, BuildConfig(leaf_edge_cover=False))
+    sparse = build_reference(st, None, ReferenceConfig(leaf_edge_cover=False))
     raw = base_suffixes_from_reference_leaves(st, reference_leaf_contexts(st))
     assert set(sparse.base_suffixes) == set(raw)
     for node in sparse.base_suffixes:
         assert sparse.base_suffixes_at(node) == sorted(e.suffix for e in raw[node])
     # the default store is a superset, and every record is a sound
     # occurrence of its node's label
-    full = build_index(st)
+    full = build_reference(st)
     for node in sparse.base_suffixes:
         assert set(sparse.base_suffixes_at(node)) <= set(full.base_suffixes_at(node))
     for node in full.base_suffixes:
@@ -479,7 +480,7 @@ def reference_base_suffix_sets(st, leaf_edge_cover: bool) -> dict[int, set[int]]
 )
 def test_decoded_base_suffixes_match_reference_sets(text, cover):
     st = build(text)
-    idx = build_index(st, None, BuildConfig(leaf_edge_cover=cover))
+    idx = build_reference(st, None, ReferenceConfig(leaf_edge_cover=cover))
     want = reference_base_suffix_sets(st, cover)
     assert set(idx.base_suffixes) == set(want)
     for node, qs in want.items():
@@ -492,13 +493,13 @@ def test_decoded_base_suffixes_match_reference_sets(text, cover):
         lambda sig: st_.text(alphabet="ABCD"[:sig], min_size=1, max_size=40)
     )
 )
-def test_base_suffix_key_containment_is_the_subtree_test(content):
+def test_stored_key_containment_is_the_subtree_test(content):
     st = build(with_sentinel(content.encode()))
     oshr = OshrTree(st)
     idx = build_index(st, oshr)
     n1 = st.n + 1
     nodes = internal_nodes(st)
-    for arr in idx.base_suffixes.values():
+    for arr in idx.entries.values():
         assert list(arr) == sorted(arr)
         for packed in arr:
             key, s = divmod(packed, n1)
@@ -506,6 +507,106 @@ def test_base_suffix_key_containment_is_the_subtree_test(content):
                 di = st.depth[i]
                 under = s >= di and st.in_subtree(i, st.leaf_for_suffix[s - di])
                 assert (oshr.left_ot[i] <= key <= oshr.right_ot[i]) == under
+
+
+# ---------------------------------------------------------------------------
+# the serving store: top keys, deepest keys, agreement with the reference
+# ---------------------------------------------------------------------------
+
+DEGENERATE = [
+    b"A" * 40,
+    b"AB" * 20,
+    b"AAB" * 13,
+    fibonacci_word(55),
+    thue_morse_word(48),
+    b"A" * 12 + b"B" * 7 + b"A" * 12 + b"C" + b"A" * 11,
+]
+TEXTS = [with_sentinel(c) for c in (b"BANANA", b"MISSISSIPPI", *DEGENERATE)] + [
+    random_text(seed, n, sigma) for seed, n, sigma in SEEDS
+]
+
+
+def naive_top(st, oshr, q: int) -> int:
+    """left_ot of the deepest internal node whose label ends at q, by scanning."""
+    data = st.text.data
+    best = st.root
+    for v in internal_nodes(st):
+        d = st.depth[v]
+        if st.depth[best] < d <= q and data[q - d : q] == st.label(v):
+            best = v
+    return oshr.left_ot[best]
+
+
+def naive_store(st, oshr, v: int) -> list[int]:
+    """R(v) from its definition: the OSHR-deepest non-root keys of the leaves
+    under v, each with its smallest position, packed and sorted."""
+    n1 = st.n + 1
+    first: dict[int, int] = {}
+    for leaf in st.subtree_leaves(v):
+        q = st.suffix_idx[leaf]
+        k = naive_top(st, oshr, q)
+        if k and (k not in first or q < first[k]):
+            first[k] = q
+    pre = oshr.preorder
+    return sorted(
+        k * n1 + q
+        for k, q in first.items()
+        if not any(k < k2 <= oshr.right_ot[pre[k]] for k2 in first)
+    )
+
+
+@pytest.mark.parametrize("text", TEXTS, ids=lambda t: t.content[:12].decode())
+def test_top_keys_match_definition(text):
+    st = build(text)
+    oshr = OshrTree(st)
+    assert list(top_keys(st, oshr)) == [naive_top(st, oshr, q) for q in range(st.n + 1)]
+
+
+@pytest.mark.parametrize("text", TEXTS, ids=lambda t: t.content[:12].decode())
+def test_store_holds_the_deepest_keys_of_each_subtree(text):
+    st = build(text)
+    oshr = OshrTree(st)
+    idx = build_index(st, oshr)
+    want = {}
+    for v in internal_nodes(st):
+        if v != st.root and naive_store(st, oshr, v):
+            want[v] = naive_store(st, oshr, v)
+    assert {v: list(a) for v, a in idx.entries.items()} == want
+
+
+@pytest.mark.parametrize("text", TEXTS, ids=lambda t: t.content[:12].decode())
+def test_store_equals_reduced_reference_store(text):
+    st = build(text)
+    oshr = OshrTree(st)
+    idx = build_index(st, oshr)
+    n1 = st.n + 1
+    for cfg in (ReferenceConfig(), ReferenceConfig(classification_mode=CLASSIFY_UNLINKED)):
+        reduced = reduce_to_deepest(build_reference(st, oshr, cfg))
+        assert reduced.entries.keys() == idx.entries.keys()
+        for v, arr in idx.entries.items():
+            assert [x // n1 for x in reduced.entries[v]] == [x // n1 for x in arr]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"A" * 4000, b"AB" * 2000, fibonacci_word(4181), thue_morse_word(4096)],
+    ids=["run", "period-2", "fibonacci", "thue-morse"],
+)
+def test_build_work_is_linear(content):
+    # top writes each non-derivable pair once (at most one per position),
+    # and each stored value is merged once more into its parent's store
+    st = tree(content)
+    counters = BuildCounters()
+    idx = build_index(st, None, None, counters)
+    assert counters.top_steps <= st.n + 1
+    assert counters.top_steps + counters.merged <= 2 * (st.n + 1 + idx.total_entries)
+
+
+def test_serving_build_of_a_long_run_finishes():
+    st = tree(b"A" * 20000)
+    idx = build_index(st)
+    # one key per node: top(q) = A^q lies in every node's OSHR subtree chain
+    assert idx.total_entries == len(idx.entries) == st.n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -518,24 +619,34 @@ def test_base_suffix_key_containment_is_the_subtree_test(content):
 def test_exact_mode_hosts_are_first_at_depth(seed, n, sigma, length):
     st = build(random_text(seed, n, sigma))
     oshr = OshrTree(st)
-    idx = build_index(st, oshr, BuildConfig(length_mode=LengthMode.exact(length)))
-    for host in idx.entries:
-        assert st.depth[host] >= length
-        assert st.depth[st.parent[host]] <= length - 1
+    mode = LengthMode.exact(length)
+    for idx in (
+        build_index(st, oshr, BuildConfig(length_mode=mode)),
+        build_reference(st, oshr, ReferenceConfig(length_mode=mode)),
+    ):
+        for host in idx.entries:
+            assert st.depth[host] >= length
+            assert st.depth[st.parent[host]] <= length - 1
 
 
 @pytest.mark.parametrize("seed,n,sigma", SEEDS[:3])
 def test_narrow_modes_select_subsets_of_all_mode(seed, n, sigma):
     st = build(random_text(seed, n, sigma))
     oshr = OshrTree(st)
-    full = build_index(st, oshr)
+    full = build_reference(st, oshr)
     everything = {(host, e.key_node, e.occ) for host, e in full.iter_host_entries()}
+    serving = build_index(st, oshr)
     for mode in (LengthMode.exact(3), LengthMode.at_most(4), LengthMode.between(2, 5)):
-        narrowed = build_index(st, oshr, BuildConfig(length_mode=mode))
+        narrowed = build_reference(st, oshr, ReferenceConfig(length_mode=mode))
         sub = {(host, e.key_node, e.occ) for host, e in narrowed.iter_host_entries()}
         assert sub <= everything
         # base suffixes are unaffected by the length mode
         assert narrowed.base_suffixes == full.base_suffixes
+        # the serving store keeps exactly the admitted loci, unchanged
+        kept = build_index(st, oshr, BuildConfig(length_mode=mode))
+        assert kept.entries == {
+            v: a for v, a in serving.entries.items() if mode.admits_locus(st, v)
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +658,7 @@ def test_narrow_modes_select_subsets_of_all_mode(seed, n, sigma):
 def test_entry_keys_reach_queries_via_suffix_links(seed, n, sigma):
     st = build(random_text(seed, n, sigma))
     oshr = OshrTree(st)
-    idx = build_index(st, oshr)
+    idx = build_reference(st, oshr)
     for host, entry in idx.iter_host_entries():
         v = entry.key_node
         # the stored interval is v's, so containment holds exactly for the
@@ -582,6 +693,7 @@ def test_index_equality_semantics():
     a = build_index(st)
     b = build_index(build(with_sentinel(b"BANANA")))
     assert a == b
-    c = build_index(st, None, BuildConfig(exclusion_rule_enabled=False))
-    assert (a == c) is (a.entries == c.entries and a.config == c.config)
+    c = build_index(st, None, BuildConfig(LengthMode.exact(2)))
+    assert a != c and a.entries == c.entries  # the config differs
     assert a != build_index(tree(b"BANANB"))
+    assert index_stats(a).total_entries == a.total_entries == 1

@@ -101,10 +101,9 @@ class TestBuild:
         assert rc == 0
         assert out_path.exists()
         rows = parse_kv(out)
-        assert rows["config"] == (
-            "lengths=all classification=oshr-internal exclusion=on leafcover=on"
-        )
-        assert rows["hosts"] == "3"
+        assert rows["config"] == "lengths=all"
+        assert rows["hosts"] == "1"
+        assert rows["total_entries"] == "1"
         assert "wrote" in err
 
     def test_flags_reach_the_config(self, tmp_path, banana, capsys):
@@ -118,16 +117,13 @@ class TestBuild:
                 str(out_path),
                 "--length-mode",
                 "atmost:3",
-                "--classification",
-                "oshr-leaf",
-                "--no-exclusion",
-                "--no-leaf-cover",
             ],
         )
         assert rc == 0
-        assert parse_kv(out)["config"] == (
-            "lengths=atmost:3 classification=oshr-leaf exclusion=off leafcover=off"
-        )
+        assert parse_kv(out)["config"] == "lengths=atmost:3"
+        # the reference builder's knobs are not build options
+        with pytest.raises(SystemExit):
+            main(["build", banana, "-o", str(out_path), "--no-leaf-cover"])
 
     def test_bad_length_mode(self, tmp_path, banana, capsys):
         rc, _, err = run(
@@ -143,9 +139,9 @@ class TestIndexStats:
         rc, out, _ = run(capsys, ["index-stats", banana_index])
         assert rc == 0
         rows = parse_kv(out)
-        assert rows["version"] == "3"
+        assert rows["version"] == "4"
         assert rows["text_length"] == "6"
-        assert rows["hosts"] == "3"
+        assert rows["hosts"] == "1"
         assert len(rows["text_sha256"]) == 64
 
     def test_corrupt_file(self, tmp_path, capsys):
@@ -271,7 +267,7 @@ class TestAudit:
             ["audit", "--seed", "7", "--texts", "2", "--max-n", "32", "--no-minimize"],
         )
         assert rc == 0
-        assert len(out.splitlines()) == 9  # header + 8 configs
+        assert len(out.splitlines()) == 10  # header + serving + 8 reference configs
         assert "walk baseline:" in err
 
 

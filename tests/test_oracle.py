@@ -9,14 +9,14 @@ from array import array
 
 import pytest
 
-from otindex.build import (
-    CLASSIFY_UNLINKED,
-    BuildConfig,
-)
+from otindex.build import BuildConfig, build_index
 from otindex.oracle import (
     AuditReport,
     BaselineReport,
     BRUTE_N_CAP,
+    FIXTURE_CONTENTS,
+    _key_set_mismatches,
+    _structure_violations,
     audit,
     audit_config_matrix,
     audit_corpus,
@@ -26,6 +26,12 @@ from otindex.oracle import (
     minimize_counterexample,
     random_text,
     splitmix64,
+)
+from otindex.reference import (
+    CLASSIFY_UNLINKED,
+    ReferenceConfig,
+    build_reference,
+    reduce_to_deepest,
 )
 from otindex.suffix_tree import build
 from otindex.text import with_sentinel
@@ -204,11 +210,12 @@ class TestAuditFixtures:
             assert rep.soundness_failures == 0
             assert rep.structure_failures == 0
             assert rep.probe_violations == 0
-            if rep.config.leaf_edge_cover:
+            assert rep.key_set_mismatches == 0
+            if getattr(rep.config, "leaf_edge_cover", True):
                 assert rep.misses == 0
 
     def test_banana_sparse_store_misses_are_the_known_four(self):
-        cfg = BuildConfig(leaf_edge_cover=False)
+        cfg = ReferenceConfig(leaf_edge_cover=False)
         reports, _ = run_single_text(BANANA, [cfg])
         rep = reports[0]
         assert rep.misses == 4
@@ -221,7 +228,7 @@ class TestAuditFixtures:
         assert all(c.kind == "miss" for c in rep.counterexamples)
 
     def test_banana_sparse_unlinked_misses_are_the_known_two(self):
-        cfg = BuildConfig(classification_mode=CLASSIFY_UNLINKED, leaf_edge_cover=False)
+        cfg = ReferenceConfig(classification_mode=CLASSIFY_UNLINKED, leaf_edge_cover=False)
         reports, _ = run_single_text(BANANA, [cfg])
         rep = reports[0]
         assert rep.misses == 2
@@ -238,23 +245,33 @@ class TestAuditFixtures:
         assert rep.pairs > 0 and rep.found > 0
         assert rep.max_entry_ratio <= 1.0
 
-    def test_structure_check_flags_bad_base_suffix_keys(self):
-        from otindex.build import build_index
-        from otindex.oracle import _structure_violations
-
+    def test_structure_check_flags_an_extra_non_deepest_key(self):
         st = build(MISSISSIPPI)
         idx = build_index(st)
         assert _structure_violations(st, idx) == 0
         n1 = st.n + 1
-        node, arr = next(
-            (v, a) for v, a in idx.base_suffixes.items() if any(x >= n1 for x in a)
+        oshr = idx.oshr
+        node, value = next(
+            (v, x)
+            for v, a in idx.entries.items()
+            for x in a
+            if st.slink[oshr.preorder[x // n1]] != st.root
         )
-        keyed = next(x for x in arr if x >= n1)
-        # re-keyed by the root: its label ends at s, but it is not the deepest
-        idx.base_suffixes[node] = array("q", sorted(x % n1 if x == keyed else x for x in arr))
+        # the key's suffix-link target also ends at the same occurrence, so
+        # the extra value is sound, but its interval holds the original key
+        up = oshr.left_ot[st.slink[oshr.preorder[value // n1]]] * n1 + value % n1
+        idx.entries[node] = array("q", sorted([*idx.entries[node], up]))
         assert _structure_violations(st, idx) == 1
-        idx.base_suffixes[node] = array("q", sorted([*arr, keyed]))  # a repeat
-        assert _structure_violations(st, idx) == 1
+
+    def test_key_set_check_flags_a_dropped_key(self):
+        st = build(MISSISSIPPI)
+        idx = build_index(st)
+        reduced = reduce_to_deepest(build_reference(st, idx.oshr))
+        assert _key_set_mismatches(idx, reduced, exact=True) == 0
+        node = next(v for v, a in idx.entries.items() if len(a) > 1)
+        idx.entries[node] = idx.entries[node][1:]
+        assert _structure_violations(st, idx) == 0
+        assert _key_set_mismatches(idx, reduced, exact=True) == 1
 
     def test_route_counts_cover_all_pairs(self):
         reports, _ = run_single_text(BANANA, [BuildConfig()])
@@ -270,12 +287,12 @@ class TestAuditFixtures:
 class TestMinimization:
     def test_padded_banana_shrinks_to_banana(self):
         padded = b"BANANA" + b"XYZQW" * 4
-        cfg = BuildConfig(leaf_edge_cover=False)
+        cfg = ReferenceConfig(leaf_edge_cover=False)
         got = minimize_counterexample(padded, b"N", b"ANA", cfg, "miss")
         assert got == b"BANANA"
 
     def test_minimal_text_survives(self):
-        cfg = BuildConfig(leaf_edge_cover=False)
+        cfg = ReferenceConfig(leaf_edge_cover=False)
         got = minimize_counterexample(b"BANANA", b"N", b"ANA", cfg, "miss")
         assert got == b"BANANA"
 
@@ -308,13 +325,14 @@ class TestAuditRun:
         b = audit(**kwargs)
         assert a.reports == b.reports
         assert a.baseline == b.baseline
-        assert a.corpus_size == 6 + 2  # fixtures prepended
+        assert a.corpus_size == 6 + len(FIXTURE_CONTENTS)  # fixtures prepended
         assert a.ok
         assert not a.universal_miss
         assert not a.any_spurious
 
     def test_matrix_shape(self):
         matrix = audit_config_matrix()
-        assert len(matrix) == 8
-        assert len(set(matrix)) == 8
+        assert len(matrix) == 9
+        assert len(set(matrix)) == 9
         assert matrix[0] == BuildConfig()
+        assert all(isinstance(c, ReferenceConfig) for c in matrix[1:])

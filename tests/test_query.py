@@ -6,16 +6,10 @@ import math
 
 import pytest
 
-from otindex.build import (
-    CLASSIFY_UNLINKED,
-    BuildConfig,
-    LengthMode,
-    build_index,
-)
-from otindex.oracle import random_text
+from otindex.build import BuildConfig, LengthMode, build_index
+from otindex.oracle import index_for, random_text
 from otindex.oshr import OshrTree
 from otindex.query import (
-    ROUTE_BASE_SEARCH,
     ROUTE_BINARY,
     ROUTE_LEAF,
     ROUTE_NOT_IN_TEXT,
@@ -29,15 +23,18 @@ from otindex.query import (
     search_many,
     walk_search_baseline,
 )
+from otindex.reference import CLASSIFY_UNLINKED, ReferenceConfig
 from otindex.suffix_tree import build
 from otindex.text import with_sentinel
 
 from oracle_helpers import distinct_substrings, occurs_under
 
 
-def indexed(content: bytes, config: BuildConfig | None = None):
+def indexed(content: bytes, config=BuildConfig()):
+    """The store search answers from: built directly, or the reduced
+    reference store for a ReferenceConfig."""
     st = build(with_sentinel(content))
-    return st, build_index(st, None, config)
+    return st, index_for(st, OshrTree(st), config)[0]
 
 
 def node_by_label(st, label: bytes) -> int:
@@ -56,9 +53,10 @@ def check_witness(st, pattern: bytes, i: int, witness: int):
 
 CONFIG_MATRIX = [
     BuildConfig(),
-    BuildConfig(exclusion_rule_enabled=False),
-    BuildConfig(classification_mode=CLASSIFY_UNLINKED),
-    BuildConfig(classification_mode=CLASSIFY_UNLINKED, exclusion_rule_enabled=False),
+    ReferenceConfig(),
+    ReferenceConfig(exclusion_rule_enabled=False),
+    ReferenceConfig(classification_mode=CLASSIFY_UNLINKED),
+    ReferenceConfig(classification_mode=CLASSIFY_UNLINKED, exclusion_rule_enabled=False),
 ]
 
 
@@ -93,6 +91,8 @@ class TestBananaQueries:
         assert not res.found and res.route == ROUTE_LEAF
 
     def test_internal_locus_hit_via_entry_list(self):
+        # NA's store holds key ANA (it ends at 4), the deeper of the keys
+        # A and ANA of its leaves 2 and 4
         i, res = self.ask(b"NA", b"A")
         assert res.found and res.route == ROUTE_BINARY
         assert res.witness == 3  # ANA at 3 = A at 3, then NA
@@ -102,16 +102,14 @@ class TestBananaQueries:
     def test_internal_locus_miss(self):
         # "A"+"ANA" = AANA does not occur in BANANA.
         _, res = self.ask(b"ANA", b"A")
-        assert not res.found and res.route == ROUTE_BASE_SEARCH
+        assert not res.found and res.route == ROUTE_BINARY
 
     def test_spurious_transport_rejected(self):
-        # "NA"+"ANA" = NAANA does not occur; the host list for ANA holds a
-        # root-keyed entry whose interval does not sit inside NA's interval,
-        # and the base suffixes (1 and 3) are keyed by nodes (A, ANA) outside
-        # NA's OSHR interval.
+        # "NA"+"ANA" = NAANA does not occur; ANA's leaves 1 and 3 have only
+        # the root's label ending at them, so its store is empty.
         _, res = self.ask(b"ANA", b"NA")
-        assert not res.found and res.route == ROUTE_BASE_SEARCH
-        assert res.host_entries == 1
+        assert not res.found and res.route == ROUTE_BINARY
+        assert res.host_entries == 0 and res.probes == 0
 
     def test_empty_pattern_is_trivially_present(self):
         i, res = self.ask(b"", b"NA")
@@ -131,14 +129,16 @@ def test_sparse_store_misses_leaf_edge_loci():
     # (position 1) but its locus is a leaf edge, "N" alone has an internal
     # locus, and the preceding suffix's parent is too deep to skip that
     # locus -- so neither entry lists nor sparse base suffixes reach it.
-    # The leaf-edge cover (default) closes exactly this.
-    st, sparse = indexed(b"BANANA", BuildConfig(leaf_edge_cover=False))
+    # The leaf-edge cover closes exactly this; the serving store, which
+    # keys every leaf, never had the gap.
+    st, sparse = indexed(b"BANANA", ReferenceConfig(leaf_edge_cover=False))
     ana = node_by_label(st, b"ANA")
     assert walk_search_baseline(st, Query(b"N", ana)).found
     assert not search(sparse, Query(b"N", ana)).found
-    _, full = indexed(b"BANANA")
-    res = search(full, Query(b"N", ana))
-    assert res.found and res.route == ROUTE_BASE_SEARCH and res.witness == 1
+    for cfg in (ReferenceConfig(), BuildConfig()):
+        _, full = indexed(b"BANANA", cfg)
+        res = search(full, Query(b"N", ana))
+        assert res.found and res.route == ROUTE_BINARY and res.witness == 1
 
 
 def test_length_mode_rejects_out_of_range_patterns():
@@ -156,7 +156,8 @@ def test_length_mode_rejects_out_of_range_patterns():
 def test_search_many_matches_individual_searches():
     st, idx = indexed(b"MISSISSIPPI")
     nodes = [v for v in range(st.n_nodes) if st.is_internal(v)]
-    for pattern in (b"SSI", b"ISS", b"P", b"Q", b""):
+    # SSIS, SIP and MISS end on leaf edges, answered once per batch
+    for pattern in (b"SSI", b"ISS", b"P", b"Q", b"", b"SSIS", b"SIP", b"MISS"):
         batch = search_many(idx, pattern, nodes)
         single = [search(idx, Query(pattern, i)) for i in nodes]
         assert batch == single
@@ -198,36 +199,33 @@ def test_random_texts_agree_with_walk(seed, n, sigma):
             assert res.found == ref.found, (pattern, st.label(i))
 
 
-def scan_base_suffixes(idx, locus: int, i: int) -> bool:
-    """Reference for step 5: test every base suffix stored at the locus."""
-    st = idx.st
-    di = st.depth[i]
-    return any(
-        s >= di and st.in_subtree(i, st.leaf_for_suffix[s - di])
-        for s in idx.base_suffixes_at(locus)
-    )
+def scan_store(idx, locus: int, i: int) -> bool:
+    """Reference for step 4: test every key stored at the locus."""
+    lo, hi = idx.oshr.left_ot[i], idx.oshr.right_ot[i]
+    return any(lo <= e.left_ot <= hi for e in idx.entries_at(locus))
 
 
-@pytest.mark.parametrize("cover", [True, False], ids=["cover", "sparse"])
+@pytest.mark.parametrize(
+    "cfg", [BuildConfig(), ReferenceConfig(leaf_edge_cover=False)], ids=["serving", "sparse"]
+)
 @pytest.mark.parametrize(
     "text",
     [with_sentinel(b"BANANA")] + [random_text(*args) for args in SEEDS[:3]],
     ids=lambda t: t.content[:12].decode(),
 )
-def test_base_search_agrees_with_linear_scan(text, cover):
+def test_binary_search_agrees_with_linear_scan(text, cfg):
     st = build(text)
-    idx = build_index(st, None, BuildConfig(leaf_edge_cover=cover))
+    idx, _ = index_for(st, OshrTree(st), cfg)
     nodes = [v for v in range(st.n_nodes) if st.is_internal(v)]
     answers = set()
     for pattern in sorted(distinct_substrings(text.content, 8)):
         outcome = locate(st, pattern)
         for i in nodes:
             res = search_at(idx, outcome, pattern, i)
-            if res.route == ROUTE_BASE_SEARCH:
+            if res.route == ROUTE_BINARY:
                 answers.add(res.found)
-                assert res.found == scan_base_suffixes(idx, outcome.locus_below, i)
-    # sparse BANANA answers no base-search query yes
-    assert False in answers and (True in answers or not cover)
+                assert res.found == scan_store(idx, outcome.locus_below, i)
+    assert answers == {False, True}
 
 
 @pytest.mark.parametrize("seed,n,sigma", SEEDS[:2])

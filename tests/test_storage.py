@@ -23,9 +23,6 @@ from otindex.text import with_sentinel
 
 CONFIGS = [
     BuildConfig(),
-    BuildConfig(exclusion_rule_enabled=False),
-    BuildConfig(classification_mode="oshr-leaf"),
-    BuildConfig(leaf_edge_cover=False),
     BuildConfig(length_mode=LengthMode.exact(3)),
     BuildConfig(length_mode=LengthMode.between(2, 7)),
     BuildConfig(length_mode=LengthMode.at_most(4)),
@@ -65,16 +62,14 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("content", [b"BANANA", b"MISSISSIPPI", b"ABRACADABRA"])
     def test_stream_size_matches_layout(self, content):
-        # header, host count, 16-byte host heads and 24 bytes (3 x i64) per
-        # entry, base count, 16-byte node heads and 8 bytes (one packed i64)
-        # per base suffix, and three origin totals
+        # header, node count, 16-byte node heads and 8 bytes (one packed
+        # i64) per stored value
         idx = make_index(content)
         want = (
-            len(MAGIC) + 1 + 32 + 8 + 4 + 4 + 3
-            + 8 + sum(16 + 24 * len(idx.entries_at(h)) for h in idx.entries)
-            + 8 + sum(16 + 8 * len(idx.base_suffixes_at(v)) for v in idx.base_suffixes)
-            + 3 * 8
+            len(MAGIC) + 1 + 32 + 8 + 4 + 4
+            + 8 + sum(16 + 8 * len(idx.entries_at(h)) for h in idx.entries)
         )
+        assert idx.total_entries > 0
         assert len(serialize(idx)) == want
 
     def test_file_round_trip(self, tmp_path):
@@ -94,7 +89,7 @@ class TestCorruption:
         with pytest.raises(BadMagicError):
             deserialize(bad, self.idx.st)
 
-    @pytest.mark.parametrize("version", [1, 2, VERSION + 1])
+    @pytest.mark.parametrize("version", [1, 2, 3, VERSION + 1])
     def test_version_mismatch(self, version):
         bad = self.blob[:4] + bytes([version]) + self.blob[5:]
         with pytest.raises(VersionMismatchError):
@@ -117,9 +112,9 @@ class TestCorruption:
         with pytest.raises(StorageError):
             deserialize(self.blob + b"\0", self.idx.st)
 
-    def test_unknown_classification_code(self):
-        at = len(MAGIC) + 1 + 32 + 8 + 8  # first config byte
-        bad = self.blob[:at] + b"\x07" + self.blob[at + 1 :]
+    def test_bad_length_range(self):
+        at = len(MAGIC) + 1 + 32 + 8  # the length range's lower bound
+        bad = self.blob[:at] + bytes(4) + self.blob[at + 4 :]
         with pytest.raises(StorageError):
             deserialize(bad, self.idx.st)
 
