@@ -38,7 +38,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .oshr import OshrTree, reference_leaf_contexts, skipped_nodes
 from .suffix_tree import SuffixTree
@@ -227,7 +227,8 @@ def build_index(
     config: BuildConfig | None = None,
     counters: BuildCounters | None = None,
 ) -> OtIndex:
-    """Build R(e) for every internal node that can be a query locus."""
+    """Build R(e) for every internal node that can be a query locus,
+    tallying the work on ``counters`` when given."""
     if oshr is None:
         oshr = OshrTree(st)
     if config is None:
@@ -270,7 +271,8 @@ def build_index(
 
 
 class OtEntry(NamedTuple):
-    """Decoded stored value (tests, CLI, audits)."""
+    """A decoded value: the key node's OSHR interval, the occurrence, and the
+    key node."""
 
     left_ot: int
     right_ot: int
@@ -305,11 +307,6 @@ class OtIndex:
             key, occ = divmod(value, n1)
             out.append(OtEntry(key, right_ot[pre[key]], occ, pre[key]))
         return out
-
-    def iter_host_entries(self) -> Iterator[tuple[int, OtEntry]]:
-        for host in self.entries:
-            for entry in self.entries_at(host):
-                yield host, entry
 
     @property
     def total_entries(self) -> int:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from .build import BuildConfig, OtIndex, build_index
 from .oshr import OshrTree
+from .query import Query, QueryResult, search, search_many, walk_search_baseline
 from .reference import (
     CLASSIFY_LINKED,
     CLASSIFY_UNLINKED,
@@ -27,7 +28,6 @@ from .reference import (
     build_reference,
     reduce_to_deepest,
 )
-from .query import Query, QueryResult, search, search_many, walk_search_baseline
 from .suffix_tree import SuffixTree, build
 from .text import Text, alphabet, with_sentinel
 
@@ -268,7 +268,7 @@ def audit_config_matrix() -> tuple[BuildConfig | ReferenceConfig, ...]:
     return tuple(out)
 
 
-def index_for(st: SuffixTree, oshr: OshrTree, cfg):
+def index_for(st: SuffixTree, oshr: OshrTree, cfg: BuildConfig | ReferenceConfig):
     """(store answered by search, reference store or None) for one grid row."""
     if isinstance(cfg, ReferenceConfig):
         ref = build_reference(st, oshr, cfg)
@@ -433,7 +433,11 @@ def _key_set_mismatches(direct: OtIndex, reduced: OtIndex, *, exact: bool) -> in
 
 
 def _failure_reproduces(
-    content: bytes, pattern: bytes, node_label: bytes, cfg, kind: str
+    content: bytes,
+    pattern: bytes,
+    node_label: bytes,
+    cfg: BuildConfig | ReferenceConfig,
+    kind: str,
 ) -> bool:
     st = build(with_sentinel(content))
     out = st.walk_from(st.root, node_label)
@@ -454,7 +458,11 @@ def _failure_reproduces(
 
 
 def minimize_counterexample(
-    content: bytes, pattern: bytes, node_label: bytes, cfg, kind: str
+    content: bytes,
+    pattern: bytes,
+    node_label: bytes,
+    cfg: BuildConfig | ReferenceConfig,
+    kind: str,
 ) -> bytes:
     """Shortest reproducing prefix of ``content``, found by length bisection.
 
@@ -479,7 +487,7 @@ def _note(
     text: Text,
     pattern: bytes,
     node_label: bytes,
-    cfg,
+    cfg: BuildConfig | ReferenceConfig,
     minimize: bool,
 ) -> None:
     if len(rep.counterexamples) >= EXAMPLE_CAP:

@@ -49,7 +49,7 @@ the leaf-edge cover's per-leaf walk); keep such inputs small.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .build import (
@@ -97,7 +97,7 @@ CLASSIFICATION_MODES = (CLASSIFY_LINKED, CLASSIFY_UNLINKED)
 class ReferenceConfig:
     """One cell of the paper's configuration grid."""
 
-    length_mode: LengthMode = field(default_factory=LengthMode)
+    length_mode: LengthMode = LengthMode()
     classification_mode: str = CLASSIFY_LINKED
     exclusion_rule_enabled: bool = True
     # extra base suffixes covering patterns whose extended locus falls on a
