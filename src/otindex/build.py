@@ -157,18 +157,23 @@ def top_keys(st: SuffixTree, oshr: OshrTree, counters: BuildCounters | None = No
     top = array("q", bytes(8 * (st.n + 1)))
     steps = 0
 
+    # suffix 0 has no predecessor, so none of its pairs derives
     v = parent[st.leaf_for_suffix[0]]
     while v != root:
         top[depth[v]] = left_ot[v]
         steps += 1
         v = parent[v]
 
+    # nodes of leaf x + 1's path deeper than sl(parent(leaf x))
     for ctx in reference_leaf_contexts(st):
         j = ctx.x + 1
         for w in skipped_nodes(st, ctx):
             top[j + depth[w]] = left_ot[w]
             steps += 1
 
+    # nodes w strictly between sl(parent(r)) and sl(r), with each leaf j
+    # whose leaf j - 1 is under r: depth(w) + 1 falls inside the edge into
+    # r, so no node on leaf j - 1's path derives the pair
     for r in range(1, st.n_nodes):
         if children[r] is None or slink[r] == root:
             continue
