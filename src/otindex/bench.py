@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .build import OtIndex
 from .oracle import splitmix64
-from .query import Query, locate, search_at, walk_search_baseline
+from .query import Query, search_many, walk_search_baseline
 from .suffix_tree import SuffixTree, WalkCounters
 
 DEFAULT_LENGTHS = (7, 10, 12, 15, 20, 25, 30, 35, 40, 50)
@@ -129,26 +129,6 @@ def extract_patterns(
     return out
 
 
-def internal_under(st: SuffixTree) -> list[int]:
-    """Internal descendants (excluding self) per internal node."""
-    counts = [0] * st.n_nodes
-    order: list[int] = []
-    stack = [st.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for c in st.children[v].values():
-            if st.is_internal(c):
-                stack.append(c)
-    for v in reversed(order):
-        total = 0
-        for c in st.children[v].values():
-            if st.is_internal(c):
-                total += 1 + counts[c]
-        counts[v] = total
-    return counts
-
-
 def nodes_by_depth(st: SuffixTree, max_depth: int = MAX_DEPTH) -> dict[int, list[int]]:
     """Internal nodes grouped by string depth, 1..max_depth, id-ordered."""
     out: dict[int, list[int]] = {d: [] for d in range(1, max_depth + 1)}
@@ -190,14 +170,13 @@ def bench(
     extracted = extract_patterns(st, protocol)
     patterns = [e.pattern for e in extracted]
     by_depth = nodes_by_depth(st, max_depth)
-    under = internal_under(st)
     stream = splitmix64(seed)
 
     # warmup outside any timed region
     if patterns:
-        for v in (by_depth.get(1) or [st.root])[:2]:
-            outcome = locate(st, patterns[0])
-            search_at(idx, outcome, patterns[0], v)
+        warm = (by_depth.get(1) or [st.root])[:2]
+        search_many(idx, patterns[0], warm)
+        for v in warm:
             walk_search_baseline(st, Query(patterns[0], v))
 
     rows: list[BenchRow] = []
@@ -207,15 +186,14 @@ def bench(
         if not starts or not patterns:
             rows.append(BenchRow(depth, len(at_depth), len(patterns), len(starts), 0, 0.0, 0.0, 0, 0))
             continue
-        complexity = sum(under[v] for v in starts)
+        # internal descendants, not counting the start node itself
+        complexity = sum(st.internal_under[v] - 1 for v in starts)
 
         ot_probes = 0
         ot_found: list[bool] = []
         t0 = time.perf_counter()
         for p in patterns:
-            outcome = locate(st, p)
-            for v in starts:
-                res = search_at(idx, outcome, p, v)
+            for res in search_many(idx, p, starts):
                 ot_probes += res.probes
                 ot_found.append(res.found)
         ot_time = time.perf_counter() - t0

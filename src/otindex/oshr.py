@@ -78,10 +78,6 @@ class OshrTree:
         self.preorder = pre  # preorder[left_ot[v]] == v
         self.n_oshr_leaves = oshr_leaves
 
-    def parent(self, v: int) -> int:
-        """OSHR parent: the suffix-link target (the root maps to itself)."""
-        return self.st.root if v == self.st.root else self.st.slink[v]
-
     def is_oshr_internal(self, v: int) -> bool:
         """True when some suffix link points at ``v``."""
         return bool(self.children.get(v))

@@ -11,12 +11,17 @@ subtree(i) and Text[j + depth(i) .. j + depth(i) + |p|) = p.  The pipeline:
    key * (n + 1) + occ, for the first key inside i's OSHR interval
    (interval containment == suffix-link reachability).
 
+Steps 2-4 are decided in one place, _resolve: it picks the route once per
+root walk, then one loop answers every start node.  search, search_many and
+search_at are entry points to it.
+
 Every positive answer is re-verified against the text before it is
 returned; an unsound hit raises instead of returning.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -71,94 +76,96 @@ def locate(st: SuffixTree, pattern: bytes) -> WalkOutcome:
 
 
 def search(idx: OtIndex, query: Query) -> QueryResult:
-    st = idx.st
-    i = query.start_node
-    if not st.is_internal(i):
-        raise ValueError("start node must be the root or an internal node")
-    pattern = query.pattern
-    if len(pattern) == 0:
-        return QueryResult(True, st.suffix_idx[st.leftmost_leaf(i)], ROUTE_TRIVIAL)
-    if not idx.config.length_mode.admits(len(pattern)):
-        raise QueryConfigError("pattern length outside index configuration")
-    return search_at(idx, locate(st, pattern), pattern, i)
+    """One start node: the one-element case of search_many."""
+    return search_many(idx, query.pattern, (query.start_node,))[0]
 
 
-def search_many(idx: OtIndex, pattern: bytes, nodes) -> list[QueryResult]:
-    """Batch form sharing one root walk across start nodes.
+def search_many(idx: OtIndex, pattern: bytes, nodes: Sequence[int]) -> list[QueryResult]:
+    """Answer ``pattern`` under every start node, sharing one root walk.
 
-    Equivalent to [search(idx, Query(pattern, i)) for i in nodes]; audits and
-    benchmarks use it to amortize the walk.  A leaf locus means a single
-    occurrence, which is taken once and tested against every node.
+    Every node must be the root or an internal node, else ValueError.  Audits
+    and benchmarks use it to amortize the walk.
     """
     st = idx.st
-    if len(pattern) == 0 or not idx.config.length_mode.admits(len(pattern)):
-        return [search(idx, Query(pattern, i)) for i in nodes]
-    outcome = locate(st, pattern)
-    locus = outcome.locus_below
-    if outcome.matched < len(pattern) or st.is_internal(locus):
-        return [search_at(idx, outcome, pattern, i) for i in nodes]
-    q = st.suffix_idx[locus]
-    root = st.root
-    depth = st.depth
-    leaf_for_suffix = st.leaf_for_suffix
-    st_left = st.st_left
-    st_right = st.st_right
-    out = []
+    n_nodes = st.n_nodes
+    children = st.children
     for i in nodes:
-        if i == root:
-            _verify(st, pattern, i, q)
-            out.append(QueryResult(True, q, ROUTE_TRIVIAL))
-            continue
-        w = q - depth[i]
-        if w >= 0 and st_left[i] <= st_left[leaf_for_suffix[w]] <= st_right[i]:
-            _verify(st, pattern, i, w)
-            out.append(QueryResult(True, w, ROUTE_LEAF))
-        else:
-            out.append(QueryResult(False, None, ROUTE_LEAF))
-    return out
+        if i < 0 or i >= n_nodes or children[i] is None:
+            raise ValueError(f"start node {i} is not the root or an internal node")
+    if pattern and not idx.config.length_mode.admits(len(pattern)):
+        raise QueryConfigError("pattern length outside index configuration")
+    return _resolve(idx, locate(st, pattern), pattern, nodes)
 
 
 def search_at(idx: OtIndex, outcome: WalkOutcome, pattern: bytes, i: int) -> QueryResult:
-    """Steps 2-4 of the pipeline, after the shared root walk."""
+    """Steps 2-4 of the pipeline for one node, after the caller's root walk."""
+    return _resolve(idx, outcome, pattern, (i,))[0]
+
+
+def _resolve(
+    idx: OtIndex, outcome: WalkOutcome, pattern: bytes, nodes: Sequence[int]
+) -> list[QueryResult]:
+    """Steps 2-4 for every start node: the route follows from the walk's
+    outcome alone, so it is picked once and one loop answers all nodes."""
     st = idx.st
-    length = len(pattern)
-    if outcome.matched < length:
-        return QueryResult(False, None, ROUTE_NOT_IN_TEXT)
+    if outcome.matched < len(pattern):
+        return [QueryResult(False, None, ROUTE_NOT_IN_TEXT) for _ in nodes]
+    suffix_idx = st.suffix_idx
+    if not pattern:  # every leaf under i spells label(i) + pattern
+        return [QueryResult(True, suffix_idx[st.leftmost_leaf(i)], ROUTE_TRIVIAL) for i in nodes]
+    root = st.root
+    depth = st.depth
     locus = outcome.locus_below
-
-    if i == st.root:
-        witness = st.suffix_idx[st.leftmost_leaf(locus)]
-        _verify(st, pattern, i, witness)
-        return QueryResult(True, witness, ROUTE_TRIVIAL)
-
-    di = st.depth[i]
-    if st.is_leaf(locus):
-        witness = st.suffix_idx[locus] - di
-        if witness >= 0 and st.in_subtree(i, st.leaf_for_suffix[witness]):
-            _verify(st, pattern, i, witness)
-            return QueryResult(True, witness, ROUTE_LEAF)
-        return QueryResult(False, None, ROUTE_LEAF)
+    out = []
+    if st.children[locus] is None:
+        # p occurs only at q: i hosts it iff the suffix depth(i) earlier is under i
+        q = suffix_idx[locus]
+        leaf_for_suffix = st.leaf_for_suffix
+        st_left = st.st_left
+        st_right = st.st_right
+        for i in nodes:
+            if i == root:
+                _verify(st, pattern, i, q)
+                out.append(QueryResult(True, q, ROUTE_TRIVIAL))
+                continue
+            w = q - depth[i]
+            if w >= 0 and st_left[i] <= st_left[leaf_for_suffix[w]] <= st_right[i]:
+                _verify(st, pattern, i, w)
+                out.append(QueryResult(True, w, ROUTE_LEAF))
+            else:
+                out.append(QueryResult(False, None, ROUTE_LEAF))
+        return out
 
     # values are key * (n + 1) + occ: the first one at or above i's left end
     # is a hit when its key is still inside i's OSHR interval
     arr = idx.entries.get(locus, ())
     m = len(arr)
     n1 = st.n + 1
-    first = idx.oshr.left_ot[i] * n1
-    probes = 0
-    lo, hi = 0, m
-    while lo < hi:
-        probes += 1
-        mid = (lo + hi) // 2
-        if arr[mid] < first:
-            lo = mid + 1
+    left_ot = idx.oshr.left_ot
+    right_ot = idx.oshr.right_ot
+    for i in nodes:
+        if i == root:
+            w = suffix_idx[st.leftmost_leaf(locus)]
+            _verify(st, pattern, i, w)
+            out.append(QueryResult(True, w, ROUTE_TRIVIAL))
+            continue
+        first = left_ot[i] * n1
+        probes = 0
+        lo, hi = 0, m
+        while lo < hi:
+            probes += 1
+            mid = (lo + hi) // 2
+            if arr[mid] < first:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo < m and arr[lo] < (right_ot[i] + 1) * n1:
+            w = arr[lo] % n1 - depth[i]
+            _verify(st, pattern, i, w)
+            out.append(QueryResult(True, w, ROUTE_BINARY, probes, m))
         else:
-            hi = mid
-    if lo < m and arr[lo] < (idx.oshr.right_ot[i] + 1) * n1:
-        witness = arr[lo] % n1 - di
-        _verify(st, pattern, i, witness)
-        return QueryResult(True, witness, ROUTE_BINARY, probes, m)
-    return QueryResult(False, None, ROUTE_BINARY, probes, m)
+            out.append(QueryResult(False, None, ROUTE_BINARY, probes, m))
+    return out
 
 
 def walk_search_baseline(

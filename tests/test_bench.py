@@ -8,7 +8,6 @@ from otindex.bench import (
     bench,
     extract_patterns,
     extract_positions,
-    internal_under,
     nodes_by_depth,
     sample_nodes,
 )
@@ -76,31 +75,6 @@ class TestExtractPatterns:
         got = extract_patterns(self.st, proto)
         assert all(len(ep.pattern) == 7 for ep in got)
         assert [ep.position for ep in got] == [70, 140][: len(got)]
-
-
-class TestInternalUnder:
-    def test_banana_hand_counts(self):
-        st = build(with_sentinel(b"BANANA"))
-
-        def node(label):
-            out = st.walk_from(st.root, label)
-            assert out.matched == len(label) and out.exact_node
-            return out.locus_below
-
-        counts = internal_under(st)
-        assert counts[node(b"ANA")] == 0
-        assert counts[node(b"NA")] == 0
-        assert counts[node(b"A")] == 1  # just ANA below it
-        assert counts[st.root] == 3  # A, ANA, NA
-
-    def test_matches_stored_tree_field(self):
-        # the tree's own field counts the node itself; the benchmark metric
-        # counts strict descendants only
-        st = build(genome_slice(5, 800))
-        counts = internal_under(st)
-        for v in range(st.n_nodes):
-            if st.is_internal(v):
-                assert counts[v] == st.internal_under[v] - 1
 
 
 class TestNodesByDepth:
@@ -184,9 +158,9 @@ class TestBenchReport:
         st = self.idx.st
         report = bench(self.idx, seed=3, node_cap=10**9)
         by_depth = nodes_by_depth(st)
-        counts = internal_under(st)
         for r in report.rows:
-            expect = sum(counts[v] for v in by_depth[r.depth])
+            # the tree's field counts the node itself; the column does not
+            expect = sum(st.internal_under[v] - 1 for v in by_depth[r.depth])
             assert r.complexity == expect
 
     def test_tiny_text_yields_zero_rows(self):

@@ -27,7 +27,7 @@ from otindex.reference import CLASSIFY_UNLINKED, ReferenceConfig
 from otindex.suffix_tree import build
 from otindex.text import with_sentinel
 
-from oracle_helpers import distinct_substrings, occurs_under
+from oracle_helpers import distinct_substrings, occurrences, occurs_under
 
 
 def indexed(content: bytes, config=BuildConfig()):
@@ -153,14 +153,44 @@ def test_length_mode_rejects_out_of_range_patterns():
     assert search(idx, Query(b"", i)).found
 
 
-def test_search_many_matches_individual_searches():
+def test_search_many_answers_match_references():
     st, idx = indexed(b"MISSISSIPPI")
     nodes = [v for v in range(st.n_nodes) if st.is_internal(v)]
-    # SSIS, SIP and MISS end on leaf edges, answered once per batch
+    # repeated nodes in mixed order, the root among them, answer pair by pair
+    mixed = nodes[::-1] + nodes[1:3] + [st.root, nodes[-1], st.root]
+    # SSIS, SIP and MISS occur once, so their locus is on a leaf edge
     for pattern in (b"SSI", b"ISS", b"P", b"Q", b"", b"SSIS", b"SIP", b"MISS"):
-        batch = search_many(idx, pattern, nodes)
-        single = [search(idx, Query(pattern, i)) for i in nodes]
-        assert batch == single
+        count = len(occurrences(st.text.data, pattern))
+        locus = locate(st, pattern).locus_below
+        for batch in (nodes, mixed):
+            got = search_many(idx, pattern, batch)
+            assert len(got) == len(batch)
+            for i, res in zip(batch, got):
+                assert res.found == walk_search_baseline(st, Query(pattern, i)).found
+                if res.found:
+                    check_witness(st, pattern, i, res.witness)
+                if count == 0:
+                    route = ROUTE_NOT_IN_TEXT
+                elif pattern == b"" or i == st.root:
+                    route = ROUTE_TRIVIAL
+                elif count == 1:
+                    route = ROUTE_LEAF
+                else:
+                    route = ROUTE_BINARY
+                    assert res.found == scan_store(idx, locus, i)
+                assert res.route == route, (pattern, st.label(i))
+
+
+@pytest.mark.parametrize("pattern", [b"SSI", b"SIP", b"Q", b""], ids=lambda p: p.decode() or "empty")
+def test_non_internal_start_nodes_rejected(pattern):
+    # SSI is answered by binary search, SIP on a leaf edge, Q is not in the
+    # text; every route and the empty pattern check the start node first
+    st, idx = indexed(b"MISSISSIPPI")
+    for bad in (st.leaf_for_suffix[0], -1, st.n_nodes):
+        with pytest.raises(ValueError):
+            search(idx, Query(pattern, bad))
+        with pytest.raises(ValueError):
+            search_many(idx, pattern, [st.root, bad])
 
 
 @pytest.mark.parametrize("content", [b"BANANA", b"MISSISSIPPI", b"AAAAAA", b"ABAB"])

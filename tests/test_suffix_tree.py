@@ -225,6 +225,21 @@ def test_tree_invariants_hypothesis(s):
     check_against_structure_oracle(st)
 
 
+def test_internal_under_banana_hand_counts():
+    st = banana()
+
+    def node(label):
+        out = st.walk_from(st.root, label)
+        assert out.matched == len(label) and out.exact_node
+        return out.locus_below
+
+    # the count includes the node itself
+    assert st.internal_under[node(b"ANA")] == 1
+    assert st.internal_under[node(b"NA")] == 1
+    assert st.internal_under[node(b"A")] == 2  # A and ANA
+    assert st.internal_under[st.root] == 4  # the root, A, ANA, NA
+
+
 def test_internal_under_counts():
     st = mississippi()
     total = sum(1 for v in range(st.n_nodes) if st.is_internal(v))
