@@ -6,12 +6,16 @@ root as its root (the root's suffix link is taken to be itself).  A node with
 at least one incoming suffix link is *OSHR-internal*; one with none is an
 *OSHR leaf*.
 
-``ot_intervals`` numbers the OSHR tree in preorder (children in ascending
+``OshrTree`` numbers the OSHR tree in preorder (children in ascending
 NodeId order): ``left_ot`` is a node's preorder index and ``right_ot`` the
 largest preorder index in its OSHR subtree.  With that numbering,
 ``left_ot(i) <= left_ot(v) <= right_ot(i)`` holds exactly when ``v`` lies in
 the OSHR subtree of ``i`` — equivalently, when iterating suffix links from
-``v`` reaches ``i``.  Every OSHR leaf has ``left_ot == right_ot``.
+``v`` reaches ``i``.  Every OSHR leaf has ``left_ot == right_ot``.  A suffix
+link lowers the string depth by exactly one, so an OSHR node's depth is its
+string depth: the numbering needs no traversal, only two passes over the
+suffix tree's per-depth rosters (subtree sizes deepest first, then numbers
+shallowest first).
 
 Reference contexts capture where consecutive suffixes disagree about tree
 shape: for suffix ``x`` with leaf A under parent B, and suffix ``x+1`` with
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .suffix_tree import SuffixTree
 
@@ -35,48 +40,54 @@ class OshrTree:
 
     def __init__(self, st: SuffixTree):
         self.st = st
-        children: dict[int, list[int]] = {}
-        members = 0
-        for v in range(st.n_nodes):
-            if not st.is_internal(v):
-                continue
-            members += 1
-            if v == st.root:
-                continue
-            children.setdefault(st.slink[v], []).append(v)
-        self.children = children
-        self.n_members = members
+        slink = st.slink
+        by_depth = st.internal_by_depth
+        depths = sorted(by_depth)
+        root = st.root
+        # deepest first, every node's OSHR subtree size is complete before
+        # it is added to its parent's
+        size = array("q", [1]) * st.n_nodes
+        for d in depths[:0:-1]:  # the root alone has depth 0
+            for v in by_depth[d]:
+                size[slink[v]] += size[v]
+        members = st.n_internal
+        if size[root] != members:
+            raise AssertionError("OSHR parents do not form a single tree")
 
+        # shallowest first, ids ascending within a depth: each parent hands
+        # its children consecutive ranges after its own number, in
+        # ascending id order, which is the preorder numbering
         left_ot = array("q", [-1]) * st.n_nodes
         right_ot = array("q", [-1]) * st.n_nodes
-        counter = 0
-        oshr_leaves = 0
-        # preorder numbering with an explicit stack; a second pass closes the
-        # right ends of the intervals
-        stack = [st.root]
-        pre: list[int] = []
-        while stack:
-            v = stack.pop()
-            left_ot[v] = counter
-            counter += 1
-            pre.append(v)
-            kids = children.get(v)
-            if kids:
-                stack.extend(reversed(kids))
-            else:
-                oshr_leaves += 1
-        if counter != members:
-            raise AssertionError("OSHR parents do not form a single tree")
-        for v in reversed(pre):
-            hi = left_ot[v]
-            for c in children.get(v, ()):
-                if right_ot[c] > hi:
-                    hi = right_ot[c]
-            right_ot[v] = hi
+        # once v is numbered, size[v] is spent: its slot becomes v's cursor,
+        # the next free number for v's children
+        cursor = size
+        children: dict[int, list[int]] = {}
+        pre = [root] * members
+        left_ot[root] = 0
+        right_ot[root] = members - 1
+        cursor[root] = 1
+        for d in depths[1:]:
+            for v in sorted(by_depth[d]):
+                p = slink[v]
+                lo = cursor[p]
+                s = size[v]
+                cursor[p] = lo + s
+                left_ot[v] = lo
+                right_ot[v] = lo + s - 1
+                cursor[v] = lo + 1
+                pre[lo] = v
+                kids = children.get(p)
+                if kids is None:
+                    children[p] = [v]
+                else:
+                    kids.append(v)
+        self.children = children
+        self.n_members = members
         self.left_ot = left_ot
         self.right_ot = right_ot
         self.preorder = pre  # preorder[left_ot[v]] == v
-        self.n_oshr_leaves = oshr_leaves
+        self.n_oshr_leaves = members - len(children)
 
     def is_oshr_internal(self, v: int) -> bool:
         """True when some suffix link points at ``v``."""
@@ -87,8 +98,7 @@ class OshrTree:
         return self.left_ot[anc] <= self.left_ot[v] <= self.right_ot[anc]
 
 
-@dataclass(frozen=True)
-class RefContext:
+class RefContext(NamedTuple):
     """One suffix pair (x, x+1) whose tree parents disagree under suffix links.
 
     leaf_a/b: leaf of suffix x and its parent.
@@ -109,14 +119,17 @@ def reference_leaf_contexts(st: SuffixTree) -> list[RefContext]:
     """
     out: list[RefContext] = []
     root = st.root
+    parent = st.parent
+    slink = st.slink
+    leaf_for_suffix = st.leaf_for_suffix
+    leaf_c = leaf_for_suffix[0]
+    d = parent[leaf_c]
     for x in range(st.n):
-        leaf_a = st.leaf_for_suffix[x]
-        b = st.parent[leaf_a]
-        leaf_c = st.leaf_for_suffix[x + 1]
-        d = st.parent[leaf_c]
-        sl_b = root if b == root else st.slink[b]
-        if sl_b != d:
-            out.append(RefContext(x=x, leaf_a=leaf_a, b=b, leaf_c=leaf_c, d=d))
+        leaf_a, b = leaf_c, d
+        leaf_c = leaf_for_suffix[x + 1]
+        d = parent[leaf_c]
+        if (root if b == root else slink[b]) != d:
+            out.append(RefContext(x, leaf_a, b, leaf_c, d))
     return out
 
 

@@ -87,14 +87,18 @@ def search_many(idx: OtIndex, pattern: bytes, nodes: Sequence[int]) -> list[Quer
     and benchmarks use it to amortize the walk.
     """
     st = idx.st
+    _check_start_nodes(st, nodes)
+    if pattern and not idx.config.length_mode.admits(len(pattern)):
+        raise QueryConfigError("pattern length outside index configuration")
+    return _resolve(idx, locate(st, pattern), pattern, nodes)
+
+
+def _check_start_nodes(st: SuffixTree, nodes: Sequence[int]) -> None:
     n_nodes = st.n_nodes
     children = st.children
     for i in nodes:
         if i < 0 or i >= n_nodes or children[i] is None:
             raise ValueError(f"start node {i} is not the root or an internal node")
-    if pattern and not idx.config.length_mode.admits(len(pattern)):
-        raise QueryConfigError("pattern length outside index configuration")
-    return _resolve(idx, locate(st, pattern), pattern, nodes)
 
 
 def search_at(idx: OtIndex, outcome: WalkOutcome, pattern: bytes, i: int) -> QueryResult:
@@ -177,8 +181,7 @@ def walk_search_baseline(
     locus: that leaf's suffix spells label(i) followed by the pattern.
     """
     i = query.start_node
-    if not st.is_internal(i):
-        raise ValueError("start node must be the root or an internal node")
+    _check_start_nodes(st, (i,))
     outcome = st.walk_from(i, query.pattern, counters)
     if outcome.matched < len(query.pattern):
         return QueryResult(False, None, ROUTE_WALK)

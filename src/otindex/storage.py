@@ -3,16 +3,22 @@
 Layout (all integers little-endian):
 
     magic       4 bytes  "OTIX"
-    version     u8       currently 4
+    version     u8       currently 5
     text hash   32 bytes sha256 of the sentinel-terminated text
     n           u64      content length
     length lo   u32
     length hi   u32      0 means unbounded
-    node count  u64
-    per node:   u64 node id, u64 value count, values as count x i64
+    node count  u64      m
+    node ids    m x u32  ascending
+    counts      m x u32  values stored at each node, in node-id order
+    values      sum(counts) x i64, node after node
                 key * (n + 1) + occ: the OSHR preorder number of an internal
                 node whose label ends at text position occ, and occ an
-                occurrence of the node's label; sorted ascending
+                occurrence of the node's label; sorted ascending per node
+
+Each field is one column, so decoding is three bulk reads plus one slice per
+node.  A node id or count that does not fit in a u32 fails to encode rather
+than being truncated.
 
 Node ids are deterministic for a given text (the tree builder is
 deterministic), so storing ids instead of labels is safe; the text hash
@@ -31,11 +37,10 @@ from .oshr import OshrTree
 from .suffix_tree import SuffixTree
 
 MAGIC = b"OTIX"
-VERSION = 4
+VERSION = 5
 
 _HEAD = struct.Struct("<4sB32sQII")
 _U64 = struct.Struct("<Q")
-_PAIR = struct.Struct("<QQ")
 
 
 class StorageError(ValueError):
@@ -62,15 +67,15 @@ def text_digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def _pack_i64(a: array) -> bytes:
+def _pack(a: array) -> bytes:
     if sys.byteorder == "big":
-        a = array("q", a)
+        a = array(a.typecode, a)
         a.byteswap()
     return a.tobytes()
 
 
-def _unpack_i64(raw: bytes) -> array:
-    a = array("q")
+def _unpack(typecode: str, raw: bytes) -> array:
+    a = array(typecode)
     a.frombytes(raw)
     if sys.byteorder == "big":
         a.byteswap()
@@ -90,11 +95,12 @@ def serialize(idx: OtIndex) -> bytes:
             lengths.hi or 0,
         )
     ]
-    out.append(_U64.pack(len(idx.entries)))
-    for node in sorted(idx.entries):
-        arr = idx.entries[node]
-        out.append(_PAIR.pack(node, len(arr)))
-        out.append(_pack_i64(arr))
+    nodes = sorted(idx.entries)
+    out.append(_U64.pack(len(nodes)))
+    # array("I") raises OverflowError on a value that needs more than 32 bits
+    out.append(_pack(array("I", nodes)))
+    out.append(_pack(array("I", [len(idx.entries[v]) for v in nodes])))
+    out.extend(_pack(idx.entries[v]) for v in nodes)
     return b"".join(out)
 
 
@@ -136,12 +142,16 @@ def _parse(blob: bytes):
         raise StorageError(f"bad length range {lo}:{hi}") from exc
 
     (n_nodes,) = _U64.unpack(r.take(8))
-    entries: dict[int, array] = {}
-    for _ in range(n_nodes):
-        node, m = _PAIR.unpack(r.take(16))
-        entries[node] = _unpack_i64(r.take(m * 8))
+    nodes = _unpack("I", r.take(4 * n_nodes))
+    counts = _unpack("I", r.take(4 * n_nodes))
+    values = _unpack("q", r.take(8 * sum(counts)))
     if not r.done():
         raise StorageError(f"{len(blob) - r.at} bytes of trailing data")
+    entries: dict[int, array] = {}
+    at = 0
+    for node, m in zip(nodes, counts):
+        entries[node] = values[at : at + m]
+        at += m
     return digest, n, config, entries
 
 

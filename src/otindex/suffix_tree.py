@@ -6,9 +6,12 @@ by NodeId (root is 0); children are keyed by the first byte of the edge
 label.  Because the sentinel is byte 0 it sorts before every content symbol,
 so ascending-symbol child order puts sentinel edges first.
 
-After construction a single traversal freezes derived data: string depths,
-leaf suffix indices, left-to-right leaf ranks, subtree intervals, and
-per-depth internal node rosters.
+Ukkonen's pass records each node's string depth and each leaf's suffix
+index as it creates the node, and every leaf edge ends at the end of the text
+from the start (the "global end").  One traversal then freezes the rest:
+left-to-right leaf ranks, subtree intervals, internal-node counts and
+per-depth internal node rosters.  It also checks the tree's shape: no unary
+internal node, every suffix link one symbol shallower, one leaf per suffix.
 """
 
 from __future__ import annotations
@@ -99,23 +102,18 @@ class SuffixTree:
     # ------------------------------------------------------------------ build
 
     def _ukkonen(self) -> None:
+        """Ukkonen's pass; it also records each node's string depth and each
+        leaf's suffix, which are known the moment the node is made."""
         data = self.data
         size = len(data)
-        OPEN = -2
 
         parent = [0]
         estart = [0]
         eend = [0]
         slink = [0]
+        depth = [0]
+        suffix_idx = [NO_NODE]
         children: list[dict[int, int] | None] = [{}]
-
-        def new_node(p: int, s: int, e: int, leaf: bool) -> int:
-            parent.append(p)
-            estart.append(s)
-            eend.append(e)
-            slink.append(0)
-            children.append(None if leaf else {})
-            return len(parent) - 1
 
         a_node = 0
         a_edge = 0
@@ -133,14 +131,12 @@ class SuffixTree:
                 assert kids is not None
                 nxt = kids.get(data[a_edge])
                 if nxt is None:
-                    leaf = new_node(a_node, pos, OPEN, leaf=True)
-                    kids[data[a_edge]] = leaf
-                    if last_internal != NO_NODE:
-                        slink[last_internal] = a_node
-                        last_internal = NO_NODE
+                    below = a_node  # a_len is 0, so the new leaf's edge starts with c
                 else:
-                    e = eend[nxt]
-                    elen = (pos + 1 if e == OPEN else e) - estart[nxt]
+                    # a leaf edge already ends at size (the global end); the
+                    # active point never reaches its end, as it spells a
+                    # later suffix than the leaf's
+                    elen = eend[nxt] - estart[nxt]
                     if a_len >= elen:
                         a_node = nxt
                         a_edge += elen
@@ -152,18 +148,32 @@ class SuffixTree:
                             last_internal = NO_NODE
                         a_len += 1
                         break
-                    split = new_node(a_node, estart[nxt], estart[nxt] + a_len, leaf=False)
-                    kids[data[a_edge]] = split
+                    below = len(parent)
+                    parent.append(a_node)
+                    estart.append(estart[nxt])
+                    eend.append(estart[nxt] + a_len)
+                    slink.append(0)
+                    depth.append(depth[a_node] + a_len)
+                    suffix_idx.append(NO_NODE)
+                    kids[data[a_edge]] = below
                     estart[nxt] += a_len
-                    parent[nxt] = split
-                    sk = children[split]
-                    assert sk is not None
-                    sk[data[estart[nxt]]] = nxt
-                    leaf = new_node(split, pos, OPEN, leaf=True)
-                    sk[c] = leaf
-                    if last_internal != NO_NODE:
-                        slink[last_internal] = split
-                    last_internal = split
+                    parent[nxt] = below
+                    kids = {data[estart[nxt]]: nxt}
+                    children.append(kids)
+                # the new leaf spells suffix j = pos - remaining + 1
+                j = pos - remaining + 1
+                leaf = len(parent)
+                parent.append(below)
+                estart.append(pos)
+                eend.append(size)
+                slink.append(0)
+                depth.append(size - j)
+                suffix_idx.append(j)
+                children.append(None)
+                kids[c] = leaf
+                if last_internal != NO_NODE:
+                    slink[last_internal] = below
+                last_internal = NO_NODE if nxt is None else below
                 remaining -= 1
                 if a_node == 0 and a_len > 0:
                     a_len -= 1
@@ -174,94 +184,86 @@ class SuffixTree:
         if remaining != 0:
             raise AssertionError("construction did not consume every suffix")
 
-        for v in range(len(eend)):
-            if eend[v] == OPEN:
-                eend[v] = size
-
         self.parent = array("q", parent)
         self.estart = array("q", estart)
         self.eend = array("q", eend)
         self.slink = array("q", slink)
+        self.depth = array("q", depth)
+        self.suffix_idx = array("q", suffix_idx)
         self.children = children
         self.n_nodes = len(parent)
 
     def _freeze(self) -> None:
-        """One iterative DFS to derive depths, ranks, intervals, rosters."""
+        """One iterative DFS, children in ascending symbol order, to derive
+        leaf ranks, subtree intervals, internal-node counts and per-depth
+        rosters, checking the tree's shape on the way.
+
+        The stack holds node ids; ``~v`` marks v's exit.  internal_under[v]
+        holds the internal-node count at v's entry until its exit turns it
+        into the number of internal nodes numbered in between.
+        """
         size = len(self.data)
         n_nodes = self.n_nodes
         children = self.children
-        estart = self.estart
-        eend = self.eend
+        depth = self.depth
         slink = self.slink
+        root = self.root
 
-        depth = array("q", bytes(8 * n_nodes))
-        suffix_idx = array("q", [NO_NODE] * n_nodes)
-        st_left = array("q", [0] * n_nodes)
-        st_right = array("q", [0] * n_nodes)
-        internal_under = array("q", [0] * n_nodes)
+        st_left = array("q", bytes(8 * n_nodes))
+        st_right = array("q", bytes(8 * n_nodes))
+        internal_under = array("q", bytes(8 * n_nodes))
         rank_to_leaf = array("q")
-        leaf_for_suffix = array("q", [NO_NODE] * size)
+        leaf_for_suffix = array("q", [NO_NODE]) * size
+        suffix_idx = self.suffix_idx
         internal_by_depth: dict[int, array] = {}
 
-        n_leaves = 0
+        rank = 0
         n_internal = 0
-        # stack entries: (node, entering) — entering pass assigns depth/rank,
-        # exit pass closes the subtree interval.
-        stack: list[tuple[int, bool]] = [(self.root, False), (self.root, True)]
-        order_sorted_children: list[int] = []
+        stack = [root]
+        pop = stack.pop
+        push = stack.append
         while stack:
-            v, entering = stack.pop()
+            v = pop()
+            if v < 0:
+                v = ~v
+                st_right[v] = rank - 1
+                internal_under[v] = n_internal - internal_under[v]
+                continue
             kids = children[v]
-            if entering:
-                if v != self.root:
-                    depth[v] = depth[self.parent[v]] + (eend[v] - estart[v])
-                if kids is None:
-                    n_leaves += 1
-                    s = size - depth[v]
-                    suffix_idx[v] = s
-                    leaf_for_suffix[s] = v
-                    r = len(rank_to_leaf)
-                    rank_to_leaf.append(v)
-                    st_left[v] = r
-                    st_right[v] = r
-                else:
-                    n_internal += 1
-                    d = depth[v]
-                    bucket = internal_by_depth.get(d)
-                    if bucket is None:
-                        bucket = array("q")
-                        internal_by_depth[d] = bucket
-                    bucket.append(v)
-                    st_left[v] = len(rank_to_leaf)  # next leaf rank to appear
-                    if v != self.root and len(kids) < 2:
-                        raise AssertionError("unary internal node")
-                    for _, child in sorted(kids.items(), reverse=True):
-                        stack.append((child, False))
-                        stack.append((child, True))
-            else:
-                if kids is not None:
-                    st_right[v] = len(rank_to_leaf) - 1
-                    cnt = 1  # v itself
-                    for child in kids.values():
-                        if children[child] is not None:
-                            cnt += internal_under[child]
-                    internal_under[v] = cnt
+            if kids is None:
+                leaf_for_suffix[suffix_idx[v]] = v
+                rank_to_leaf.append(v)
+                st_left[v] = rank
+                st_right[v] = rank
+                rank += 1
+                continue
+            d = depth[v]
+            if v != root:
+                if len(kids) < 2:
+                    raise AssertionError("unary internal node")
+                if depth[slink[v]] != d - 1:
+                    raise AssertionError("suffix link depth property violated")
+            bucket = internal_by_depth.get(d)
+            if bucket is None:
+                bucket = internal_by_depth[d] = array("q")
+            bucket.append(v)
+            st_left[v] = rank  # next leaf rank to appear
+            internal_under[v] = n_internal
+            n_internal += 1
+            push(~v)
+            for k in sorted(kids, reverse=True):
+                push(kids[k])
 
-        if n_leaves != size:
+        if rank != size:
             raise AssertionError("leaf count must equal text length with sentinel")
-        for v in range(1, n_nodes):
-            if children[v] is not None and depth[slink[v]] != depth[v] - 1:
-                raise AssertionError("suffix link depth property violated")
 
-        self.depth = depth
-        self.suffix_idx = suffix_idx
         self.st_left = st_left
         self.st_right = st_right
         self.rank_to_leaf = rank_to_leaf
         self.leaf_for_suffix = leaf_for_suffix
         self.internal_under = internal_under
         self.internal_by_depth = internal_by_depth
-        self.n_leaves = n_leaves
+        self.n_leaves = rank
         self.n_internal = n_internal
 
     # ----------------------------------------------------------------- access

@@ -7,6 +7,19 @@ structures.
 
 from __future__ import annotations
 
+from otindex.oracle import fibonacci_word, thue_morse_word
+
+# texts where suffix trees degenerate (long runs, short periods, Fibonacci
+# and Thue-Morse words), by test id; the derived arrays' orders could differ
+# from their definitions here first
+DEGENERATE_TEXTS = {
+    "a300": b"a" * 300,
+    "ab150": b"ab" * 150,
+    "aab100": b"aab" * 100,
+    "fib377": fibonacci_word(377),
+    "tm256": thue_morse_word(256),
+}
+
 
 def occurrences(data: bytes, pattern: bytes) -> list[int]:
     """All start positions of ``pattern`` in ``data`` (naive, overlapping)."""

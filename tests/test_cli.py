@@ -139,7 +139,7 @@ class TestIndexStats:
         rc, out, _ = run(capsys, ["index-stats", banana_index])
         assert rc == 0
         rows = parse_kv(out)
-        assert rows["version"] == "4"
+        assert rows["version"] == "5"
         assert rows["text_length"] == "6"
         assert rows["hosts"] == "1"
         assert len(rows["text_sha256"]) == 64

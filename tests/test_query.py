@@ -191,6 +191,13 @@ def test_non_internal_start_nodes_rejected(pattern):
             search(idx, Query(pattern, bad))
         with pytest.raises(ValueError):
             search_many(idx, pattern, [st.root, bad])
+    # the walk baseline shares the check: -1 is no arena index, and n_nodes
+    # is past the arena's end
+    for content in (b"BANANA", b"MISSISSIPPI", b"ABABAB"):
+        st = build(with_sentinel(content))
+        for bad in (-1, st.n_nodes):
+            with pytest.raises(ValueError):
+                walk_search_baseline(st, Query(pattern, bad))
 
 
 @pytest.mark.parametrize("content", [b"BANANA", b"MISSISSIPPI", b"AAAAAA", b"ABAB"])

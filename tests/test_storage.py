@@ -1,5 +1,7 @@
 """Round-trip and corruption tests for index serialization."""
 
+import struct
+
 import pytest
 
 from otindex.build import BuildConfig, LengthMode, build_index
@@ -62,15 +64,21 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("content", [b"BANANA", b"MISSISSIPPI", b"ABRACADABRA"])
     def test_stream_size_matches_layout(self, content):
-        # header, node count, 16-byte node heads and 8 bytes (one packed
-        # i64) per stored value
+        # header, node count, a u32 id and a u32 count per node, and 8 bytes
+        # (one packed i64) per stored value
         idx = make_index(content)
         want = (
             len(MAGIC) + 1 + 32 + 8 + 4 + 4
-            + 8 + sum(16 + 8 * len(idx.entries_at(h)) for h in idx.entries)
+            + 8 + sum(8 + 8 * len(idx.entries_at(h)) for h in idx.entries)
         )
         assert idx.total_entries > 0
         assert len(serialize(idx)) == want
+
+    def test_oversized_node_id_fails_to_encode(self):
+        idx = make_index()
+        idx.entries[2**32] = idx.entries[next(iter(idx.entries))]
+        with pytest.raises(OverflowError):
+            serialize(idx)
 
     def test_file_round_trip(self, tmp_path):
         idx = make_index(b"ABRACADABRA")
@@ -89,7 +97,7 @@ class TestCorruption:
         with pytest.raises(BadMagicError):
             deserialize(bad, self.idx.st)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, VERSION + 1])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, VERSION + 1])
     def test_version_mismatch(self, version):
         bad = self.blob[:4] + bytes([version]) + self.blob[5:]
         with pytest.raises(VersionMismatchError):
@@ -102,11 +110,19 @@ class TestCorruption:
 
     def test_truncation_everywhere(self):
         # every proper prefix must fail loudly, never load half a structure
-        for k in range(0, len(self.blob), 7):
+        for k in range(len(self.blob)):
             with pytest.raises(TruncatedIndexError):
                 deserialize(self.blob[:k], self.idx.st)
+
+    def test_counts_past_the_end(self):
+        # the count column promises more values than the stream holds
+        at = len(MAGIC) + 1 + 32 + 8 + 4 + 4
+        (hosts,) = struct.unpack_from("<Q", self.blob, at)
+        counts = at + 8 + 4 * hosts
+        bad = bytearray(self.blob)
+        struct.pack_into("<I", bad, counts, struct.unpack_from("<I", bad, counts)[0] + 1)
         with pytest.raises(TruncatedIndexError):
-            deserialize(self.blob[:-1], self.idx.st)
+            deserialize(bytes(bad), self.idx.st)
 
     def test_trailing_garbage(self):
         with pytest.raises(StorageError):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from oracle_helpers import (
+    DEGENERATE_TEXTS,
     longest_matching_prefix,
     occurrences,
     right_branching_labels,
@@ -183,15 +184,40 @@ def test_walk_longest_prefix_matches_naive(seed, n, sigma):
         assert out.matched == longest_matching_prefix(t.data, p)
 
 
-@pytest.mark.parametrize("seed,n,sigma", [(5, 100, 2), (6, 256, 3)])
-def test_subtree_equals_occurrences(seed, n, sigma):
-    t = random_text(seed, n, sigma)
+DERIVED_TEXTS = [
+    pytest.param(random_text(seed, n, sigma), id=f"{seed}-{n}-{sigma}")
+    for seed, n, sigma in [(5, 100, 2), (6, 256, 3), (7, 377, 4)]
+] + [pytest.param(with_sentinel(c), id=name) for name, c in DEGENERATE_TEXTS.items()]
+
+
+@pytest.mark.parametrize("t", DERIVED_TEXTS)
+def test_subtree_equals_occurrences(t):
+    # every array _freeze derives, against its definition on the raw text
     st = build(t)
+    data = t.data
+    order = sorted(range(len(data)), key=lambda s: data[s:])
+    assert [st.suffix_idx[leaf] for leaf in st.rank_to_leaf] == order
+    rank_of = {s: r for r, s in enumerate(order)}
+    labels = {st.label(v) for v in range(st.n_nodes) if st.is_internal(v)}
+    assert labels == right_branching_labels(data)
     for v in range(st.n_nodes):
-        if not st.is_internal(v) or v == st.root:
+        if st.is_leaf(v):
+            q = st.suffix_idx[v]
+            assert st.depth[v] == len(data) - q
+            assert st.leaf_for_suffix[q] == v
+            assert st.st_left[v] == st.st_right[v] == rank_of[q]
             continue
-        got = sorted(st.suffix_idx[leaf] for leaf in st.subtree_leaves(v))
-        assert got == occurrences(t.data, st.label(v))
+        label = st.label(v)
+        occ = [q for q in occurrences(data, label) if q < len(data)]
+        assert sorted(st.suffix_idx[leaf] for leaf in st.subtree_leaves(v)) == occ
+        ranks = sorted(rank_of[q] for q in occ)
+        assert ranks == list(range(st.st_left[v], st.st_right[v] + 1))
+        assert st.internal_under[v] == sum(1 for lbl in labels if lbl.startswith(label))
+    by_depth = {}
+    for lbl in labels:
+        by_depth.setdefault(len(lbl), set()).add(lbl)
+    assert {d: {st.label(v) for v in bucket} for d, bucket in st.internal_by_depth.items()} == by_depth
+    assert sum(len(bucket) for bucket in st.internal_by_depth.values()) == len(labels)
 
 
 def test_suffix_link_labels():
