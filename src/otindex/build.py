@@ -22,10 +22,11 @@ Both steps run in time linear in n plus the stored values:
 
 * top(q) comes from the (internal v, leaf j) pairs that are not
   suffix-link-derivable; each one names top(j + depth(v)) = v, and each
-  position has at most one.  They come from three places: the ancestors of
-  leaf 0, the skipped nodes of each reference context (j = x + 1), and the
-  strip nodes of each internal r (the nodes strictly between sl(parent(r))
-  and sl(r)) paired with every leaf j - 1 under r.
+  position has at most one.  Take the suffix link of the leaf of suffix x
+  to be the leaf of suffix x + 1 (of suffix 0 for the sentinel's, x = n).
+  Then they are one rule over the nodes r but the root: each node strictly
+  between sl(parent(r)) and sl(r) on sl(r)'s root path, paired with the
+  leaf of suffix x + 1 for every leaf x under r.
 * R(e) is built in one postorder pass: the deepest keys of the children's
   R plus the keys of the leaf children.
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .oshr import OshrTree, reference_leaf_contexts, skipped_nodes
+from .oshr import OshrTree
 from .suffix_tree import SuffixTree
 
 # read only by perfbench/layers.py: one stored value per entry
@@ -143,55 +144,59 @@ def top_keys(st: SuffixTree, oshr: OshrTree, counters: BuildCounters | None = No
     The nodes ending at q are the suffix-link chain top(q), sl(top(q)), ...,
     paired with the leaves of suffixes q - depth(top(q)), ...; each pair but
     the first derives from its predecessor, so the one pair that is not
-    suffix-link-derivable names top(q).  Every non-derivable pair is written
-    once, from one of the three places listed in the module docstring.
+    suffix-link-derivable names top(q).  Those pairs follow the rule in the
+    module docstring: for each node r but the root, each w strictly between
+    sl(parent(r)) and sl(r), with the leaf of suffix j = x + 1 for every leaf
+    x under r.  Outside the sentinel's wrap, depth(w) + 1 falls inside the
+    edge into r, so no node on leaf x's path derives the pair.  Every such
+    pair is written once.
     """
     root = st.root
+    n = st.n
     parent = st.parent
     depth = st.depth
     slink = st.slink
     children = st.children
     left_ot = oshr.left_ot
     suffix_idx = st.suffix_idx
+    leaf_for_suffix = st.leaf_for_suffix
     rank_to_leaf = st.rank_to_leaf
-    top = array("q", bytes(8 * (st.n + 1)))
+    st_left = st.st_left
+    st_right = st.st_right
+    top = array("q", bytes(8 * (n + 1)))
     steps = 0
 
-    # suffix 0 has no predecessor, so none of its pairs derives
-    v = parent[st.leaf_for_suffix[0]]
-    while v != root:
-        top[depth[v]] = left_ot[v]
-        steps += 1
-        v = parent[v]
-
-    # nodes of leaf x + 1's path deeper than sl(parent(leaf x))
-    for ctx in reference_leaf_contexts(st):
-        j = ctx.x + 1
-        for w in skipped_nodes(st, ctx):
-            top[j + depth[w]] = left_ot[w]
-            steps += 1
-
-    # nodes w strictly between sl(parent(r)) and sl(r), with each leaf j
-    # whose leaf j - 1 is under r: depth(w) + 1 falls inside the edge into
-    # r, so no node on leaf j - 1's path derives the pair
     for r in range(1, st.n_nodes):
-        if children[r] is None or slink[r] == root:
-            continue
         pr = parent[r]
-        floor = 0 if pr == root else depth[slink[pr]]
-        w = parent[slink[r]]
-        if depth[w] <= floor:
-            continue
-        starts = [
-            suffix_idx[rank_to_leaf[k]] + 1 for k in range(st.st_left[r], st.st_right[r] + 1)
-        ]
-        while depth[w] > floor:
-            dw = depth[w]
-            lw = left_ot[w]
-            for j in starts:
-                top[j + dw] = lw
-            steps += len(starts)
-            w = parent[w]
+        base = root if pr == root else slink[pr]
+        floor = depth[base]
+        if children[r] is None:
+            # the sentinel's leaf (suffix n) hangs from the root and wraps
+            # to suffix 0, which has no predecessor: its strip is all of
+            # leaf 0's path
+            x = suffix_idx[r]
+            j = x + 1 if x < n else 0
+            w = parent[leaf_for_suffix[j]]
+            starts = (j,)
+        else:
+            if slink[r] == root:
+                continue
+            w = parent[slink[r]]
+            starts = None
+        if depth[w] > floor:
+            if starts is None:
+                starts = [
+                    suffix_idx[rank_to_leaf[k]] + 1 for k in range(st_left[r], st_right[r] + 1)
+                ]
+            while depth[w] > floor:
+                dw = depth[w]
+                lw = left_ot[w]
+                for j in starts:
+                    top[j + dw] = lw
+                steps += len(starts)
+                w = parent[w]
+        if w != base:
+            raise AssertionError("sl(parent(r)) must lie on sl(r)'s root path")
 
     if counters is not None:
         counters.top_steps += steps
@@ -350,10 +355,10 @@ def index_stats(idx: OtIndex) -> IndexStats:
 
 
 def __getattr__(name: str):
-    # perfbench/spans.py wraps build.leaf_edge_cover_suffixes by name; the
-    # serving build never calls it, so the name resolves to the reference's
-    if name == "leaf_edge_cover_suffixes":
-        from .reference import leaf_edge_cover_suffixes
+    # perfbench/spans.py wraps these two by name; the serving build calls
+    # neither, so they resolve to the paper builder's
+    if name in ("leaf_edge_cover_suffixes", "reference_leaf_contexts"):
+        from . import reference
 
-        return leaf_edge_cover_suffixes
+        return getattr(reference, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,7 +21,9 @@ Reference contexts capture where consecutive suffixes disagree about tree
 shape: for suffix ``x`` with leaf A under parent B, and suffix ``x+1`` with
 leaf C under parent D, a context exists when ``sl(B) != D``.  The nodes on
 C's root path strictly below ``sl(B)`` (down to D) are the context's skipped
-nodes; they receive the base suffix ``x+1``.
+nodes; they receive the base suffix ``x+1``.  Contexts and skipped nodes
+serve the paper's builder (:mod:`otindex.reference`), the audit that runs it
+and ``otindex oshr-stats``; the serving build does not use them.
 """
 
 from __future__ import annotations
@@ -92,10 +94,6 @@ class OshrTree:
     def is_oshr_internal(self, v: int) -> bool:
         """True when some suffix link points at ``v``."""
         return bool(self.children.get(v))
-
-    def in_oshr_subtree(self, anc: int, v: int) -> bool:
-        """Suffix-link reachability: does sl-iteration from ``v`` reach ``anc``?"""
-        return self.left_ot[anc] <= self.left_ot[v] <= self.right_ot[anc]
 
 
 class RefContext(NamedTuple):

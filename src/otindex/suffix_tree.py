@@ -296,12 +296,6 @@ class SuffixTree:
             and self.st_right[v] <= self.st_right[anc]
         )
 
-    def subtree_leaves(self, v: int):
-        """Leaves under ``v`` in left-to-right order."""
-        rtl = self.rank_to_leaf
-        for r in range(self.st_left[v], self.st_right[v] + 1):
-            yield rtl[r]
-
     # ------------------------------------------------------------------- walk
 
     def walk_from(

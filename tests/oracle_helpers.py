@@ -9,15 +9,38 @@ from __future__ import annotations
 
 from otindex.oracle import fibonacci_word, thue_morse_word
 
-# texts where suffix trees degenerate (long runs, short periods, Fibonacci
-# and Thue-Morse words), by test id; the derived arrays' orders could differ
-# from their definitions here first
+
+def de_bruijn_word(k: int) -> bytes:
+    """Binary de Bruijn word of order k over ``ab``: 2**k symbols in which
+    every k-symbol word occurs once, read cyclically.
+
+    The Lyndon words over {0, 1} whose length divides k, concatenated in
+    lexicographic order (generated one after another, Duval's method).
+    """
+    out: list[int] = []
+    w = [-1]
+    while w:
+        w[-1] += 1
+        m = len(w)
+        if k % m == 0:
+            out += w
+        while len(w) < k:
+            w.append(w[len(w) - m])
+        while w and w[-1] == 1:
+            w.pop()
+    return bytes(b"ab"[s] for s in out)
+
+
+# texts where suffix trees degenerate (long runs, short periods, Fibonacci,
+# Thue-Morse and de Bruijn words), by test id; the derived arrays' orders
+# could differ from their definitions here first
 DEGENERATE_TEXTS = {
     "a300": b"a" * 300,
     "ab150": b"ab" * 150,
     "aab100": b"aab" * 100,
     "fib377": fibonacci_word(377),
     "tm256": thue_morse_word(256),
+    "db256": de_bruijn_word(8),
 }
 
 

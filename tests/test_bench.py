@@ -1,5 +1,9 @@
 """Benchmark harness: extraction protocol, node sampling, and report shape."""
 
+import importlib
+import importlib.util
+from pathlib import Path
+
 from otindex.bench import (
     DEFAULT_LENGTHS,
     TSV_COLUMNS,
@@ -179,3 +183,16 @@ class TestBenchAgainstWalk:
         assert busy, "expected at least one high-complexity depth"
         for r in busy:
             assert r.walk_comparisons > r.ot_probes
+
+
+def test_traced_benchmark_names_resolve():
+    # the traced perfbench run rebinds PROGRAM_CALLS on the program's modules
+    # and perfbench/layers.py imports build.ENTRY_WIDTH; a missing name would
+    # stop that run with an AttributeError or ImportError
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod_name, attr, _span in spans.PROGRAM_CALLS:
+        assert callable(getattr(importlib.import_module(mod_name), attr)), (mod_name, attr)
+    assert isinstance(importlib.import_module("otindex.build").ENTRY_WIDTH, int)

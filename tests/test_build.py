@@ -42,7 +42,7 @@ from otindex.reference import (
 from otindex.suffix_tree import build
 from otindex.text import with_sentinel
 
-from oracle_helpers import naive_derivable, occurrences, sl_chain_reaches
+from oracle_helpers import de_bruijn_word, naive_derivable, occurrences, sl_chain_reaches
 
 
 def tree(content: bytes):
@@ -520,6 +520,7 @@ DEGENERATE = [
     fibonacci_word(55),
     thue_morse_word(48),
     b"A" * 12 + b"B" * 7 + b"A" * 12 + b"C" + b"A" * 11,
+    de_bruijn_word(6),
 ]
 TEXTS = [with_sentinel(c) for c in (b"BANANA", b"MISSISSIPPI", *DEGENERATE)] + [
     random_text(seed, n, sigma) for seed, n, sigma in SEEDS
@@ -542,7 +543,7 @@ def naive_store(st, oshr, v: int) -> list[int]:
     under v, each with its smallest position, packed and sorted."""
     n1 = st.n + 1
     first: dict[int, int] = {}
-    for leaf in st.subtree_leaves(v):
+    for leaf in st.rank_to_leaf[st.st_left[v] : st.st_right[v] + 1]:
         q = st.suffix_idx[leaf]
         k = naive_top(st, oshr, q)
         if k and (k not in first or q < first[k]):
@@ -589,16 +590,18 @@ def test_store_equals_reduced_reference_store(text):
 
 @pytest.mark.parametrize(
     "content",
-    [b"A" * 4000, b"AB" * 2000, fibonacci_word(4181), thue_morse_word(4096)],
-    ids=["run", "period-2", "fibonacci", "thue-morse"],
+    [b"A" * 4000, b"AB" * 2000, fibonacci_word(4181), thue_morse_word(4096), de_bruijn_word(12)],
+    ids=["run", "period-2", "fibonacci", "thue-morse", "de-bruijn"],
 )
 def test_build_work_is_linear(content):
-    # top writes each non-derivable pair once (at most one per position),
-    # and each stored value is merged once more into its parent's store
+    # top writes each non-derivable pair exactly once, at the one position
+    # whose top it names (the root's number, 0, is never written), and each
+    # stored value is merged once more into its parent's store
     st = tree(content)
     counters = BuildCounters()
     idx = build_index(st, None, None, counters)
-    assert counters.top_steps <= st.n + 1
+    top = top_keys(st, OshrTree(st))
+    assert counters.top_steps == sum(1 for k in top if k)
     assert counters.top_steps + counters.merged <= 2 * (st.n + 1 + idx.total_entries)
 
 

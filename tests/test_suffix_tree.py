@@ -157,7 +157,7 @@ def test_leaf_of_suffix():
 def test_subtree_interval_banana():
     st = banana()
     a = st.walk_from(st.root, b"A").locus_below
-    under = [st.suffix_idx[leaf] for leaf in st.subtree_leaves(a)]
+    under = [st.suffix_idx[leaf] for leaf in st.rank_to_leaf[st.st_left[a] : st.st_right[a] + 1]]
     assert under == [5, 3, 1]
     assert st.st_left[st.root] == 0
     assert st.st_right[st.root] == st.n_leaves - 1
@@ -209,7 +209,8 @@ def test_subtree_equals_occurrences(t):
             continue
         label = st.label(v)
         occ = [q for q in occurrences(data, label) if q < len(data)]
-        assert sorted(st.suffix_idx[leaf] for leaf in st.subtree_leaves(v)) == occ
+        under = st.rank_to_leaf[st.st_left[v] : st.st_right[v] + 1]
+        assert sorted(st.suffix_idx[leaf] for leaf in under) == occ
         ranks = sorted(rank_of[q] for q in occ)
         assert ranks == list(range(st.st_left[v], st.st_right[v] + 1))
         assert st.internal_under[v] == sum(1 for lbl in labels if lbl.startswith(label))
